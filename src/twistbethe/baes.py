@@ -40,13 +40,12 @@ class SolverSettings:
     there.  jacobi_sweeps are frozen-interaction scalar prepasses between
     the decoupled initial guess and the full Newton iteration; they cost
     nothing and make N ~ several hundred converge in a handful of Newton
-    steps.  homotopy_steps reserves the blind-start fallback of the
-    inhomogeneous solver (0 = ED-seeded only)."""
+    steps.  tol is an absolute residual bound; the log-BAE solver raises
+    it to the float64 resolution of its equations where that is larger."""
 
     tol: float = 1e-12
     max_iter: int = 200
     damping: float = 1.0
-    homotopy_steps: int = 0
     jacobi_sweeps: int = 8
 
     def __post_init__(self):
@@ -142,8 +141,9 @@ def ground_quantum_numbers(N: int, boundary) -> QuantumNumbers:
     return QuantumNumbers(tuple(ti), N, boundary)
 
 
-def excited_quantum_numbers(N: int, boundary, holes: int) -> list[QuantumNumbers]:
-    """Hole-excitation configurations, ordered by their homogeneous energy.
+def excited_quantum_numbers(N: int, boundary, holes: int,
+                            eta: float) -> list[QuantumNumbers]:
+    """Hole-excitation configurations, ordered by their homogeneous energy at eta.
 
     One-hole moves exist where the ground state already carries a hole
     (twisted even, periodic odd); the ground configuration and its mirror
@@ -177,7 +177,7 @@ def excited_quantum_numbers(N: int, boundary, holes: int) -> list[QuantumNumbers
                 configs.append(QuantumNumbers(ti, N, boundary))
     else:
         raise ValueError("hole count must be 1 or 2")
-    solved = [(energy_hom(solve_log_baes(None, N, qn)), qn) for qn in configs]
+    solved = [(energy_hom(solve_log_baes(eta, N, qn)), qn) for qn in configs]
     solved.sort(key=lambda pair: pair[0])
     return [qn for _, qn in solved]
 
@@ -263,19 +263,19 @@ def hole_rapidity(roots: BetheRootsX, twice_I_hole: int) -> float:
     return float(scipy.optimize.brentq(f, lo, hi, xtol=1e-14))
 
 
-def solve_log_baes(eta: float | None, N: int, qn: QuantumNumbers,
+def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
                    settings: SolverSettings = DEFAULT_SETTINGS,
                    x0: np.ndarray | None = None) -> BetheRootsX:
     """Damped Newton on the reduced logarithmic equations
 
         [eta x_j] + N theta_1(x_j) = 2 pi I_j + sum_k theta_2(x_j - x_k)
 
-    (the eta x_j drift only on the twisted chain).  eta of None defaults
-    to 2.0 only in internal re-solves; pass it explicitly.  Initial guess:
+    (the eta x_j drift only on the twisted chain).  Initial guess:
     decoupled single-root bisection, sharpened by frozen-interaction
-    scalar sweeps.  Errors carry the last iterate."""
-    if eta is None:
-        eta = 2.0
+    scalar sweeps.  Newton stops at settings.tol or at 4 ulp of the
+    equations' terms, about 2 pi (N + M), whichever is larger: past
+    N ~ 1000 an absolute 1e-12 is below float64 resolution.  Errors carry
+    the last iterate."""
     if qn.N != N:
         raise ValueError("quantum numbers built for a different N")
     anti = qn.boundary is Boundary.ANTIPERIODIC
@@ -304,15 +304,16 @@ def solve_log_baes(eta: float | None, N: int, qn: QuantumNumbers,
             diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
             x = x - F / diag
 
+    tol = max(settings.tol, 4 * np.finfo(float).eps * 2.0 * math.pi * (N + M))
     scale = settings.damping
     F = _log_bae_residual(x, eta, N, twice_I, anti)
     best = np.max(np.abs(F))
     for it in range(1, settings.max_iter + 1):
-        if best < settings.tol:
+        if best < tol:
             x = _fold_window(x, eta)
             F = _log_bae_residual(x, eta, N, twice_I, anti)
             res = float(np.max(np.abs(F)))
-            if res > 10 * settings.tol:
+            if res > 10 * tol:
                 raise ConvergenceError("window folding moved roots off-branch",
                                        iterate=x, residual=res)
             return BetheRootsX(x, qn, eta, res, it - 1)

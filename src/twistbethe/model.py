@@ -6,10 +6,15 @@ twisted chain closes through a spin-x rotation, so its boundary bond is
 sx.sx - sy.sy - cosh(eta) sz.sz while every bulk bond (and every periodic
 bond) is sx.sx + sy.sy + cosh(eta) sz.sz.
 
-Hamiltonians are kept real symmetric; the three-site charge and the
-transfer matrix are complex.  Dense realizations stop at N = 12 (this is
-a 5 GB class machine); beyond that only matrix-free bitwise application
-is offered, which ARPACK consumes up to N = 20.
+Every operator comes from one of two constructions.  H, the three-site
+charge H2 and t(0) are CSR matrices: H and H2 are sums of Pauli strings
+whose bit rules (X and Y flip a bit, Y and Z contribute a sign or phase)
+give each matrix element directly, and t(0) is an index permutation.  The
+transfer matrix t(u) is applied matrix-free by contracting the six-vertex
+R-matrix one site at a time, O(N 2^N) per application.  Hamiltonians are
+real symmetric; H2 and t(u) are complex.  A dense matrix is derived on
+demand only for N <= 12 (this is a 5 GB class machine); the CSR
+Hamiltonian carries ARPACK up to N = 20.
 """
 
 from __future__ import annotations
@@ -23,17 +28,11 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .common import Boundary, Parity
+from .common import Boundary
 
 DENSE_MAX = 12
 ITERATIVE_MAX = 20
 DEGENERACY_TOL = 1e-8
-
-_SX = np.array([[0.0, 1.0], [1.0, 0.0]])
-_SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
-_SZ = np.array([[1.0, 0.0], [0.0, -1.0]])
-_SP = np.array([[0.0, 1.0], [0.0, 0.0]])   # sigma^+ = |up><down|
-_SM = np.array([[0.0, 0.0], [1.0, 0.0]])
 
 
 @dataclass(frozen=True)
@@ -59,54 +58,99 @@ class ModelParams:
         object.__setattr__(self, "theta", th)
 
     @property
-    def parity(self) -> Parity:
-        return Parity.of(self.N)
-
-    @property
     def dim(self) -> int:
         return 1 << self.N
 
 
 class ChainOperator:
-    """Linear operator on the 2^N space: a matvec plus an optional dense
-    realization.  Immutable after construction."""
+    """Linear operator on the 2^N space, held as a CSR matrix or as a
+    matrix-free contraction; both are applied with `@`.  `matvec` is the
+    one way to apply it, and `dense` is derived from it on first use, for
+    N <= DENSE_MAX only."""
 
-    def __init__(self, n_sites, matvec, dense=None, hermitian=False,
-                 dtype=np.float64, label=""):
+    def __init__(self, n_sites, op, *, hermitian=False):
         self.n_sites = n_sites
         self.dim = 1 << n_sites
-        self._matvec = matvec
-        self._dense = dense
+        self._op = op
+        self._dense = None
         self.hermitian = hermitian
-        self.dtype = np.dtype(dtype)
-        self.label = label
+        self.dtype = np.dtype(op.dtype)
 
     def matvec(self, v):
         v = np.asarray(v)
         if v.shape != (self.dim,):
             raise ValueError(f"vector length must be {self.dim}")
-        if self._matvec is not None:
-            return self._matvec(v)
-        return self._dense @ v
+        return self._op @ v
 
     @property
     def dense(self):
-        """Dense matrix, or None when the operator is matvec-only."""
-        d = self._dense
-        if sp.issparse(d):
-            d = d.toarray()
-        return d
+        """Dense matrix, or None above DENSE_MAX sites."""
+        if self._dense is None and self.n_sites <= DENSE_MAX:
+            if sp.issparse(self._op):
+                self._dense = self._op.toarray()
+            else:
+                self._dense = self._op @ np.eye(self.dim, dtype=self.dtype)
+        return self._dense
 
     def as_scipy(self):
         return spla.LinearOperator((self.dim, self.dim), matvec=self.matvec,
                                    dtype=self.dtype)
 
 
-def _site(N: int, j: int, m: np.ndarray) -> sp.csr_matrix:
-    """Single-site operator m at 1-based site j as a sparse 2^N matrix."""
-    left = sp.identity(1 << (j - 1), format="csr", dtype=m.dtype)
-    right = sp.identity(1 << (N - j), format="csr", dtype=m.dtype)
-    return sp.kron(sp.kron(left, sp.csr_matrix(m)), right, format="csr")
+def _pauli_csr(N: int, terms) -> sp.csr_matrix:
+    """Sum of Pauli strings as a CSR matrix with int32 indices.
+
+    Each term is (coeff, ((site, "X"|"Y"|"Z"), ...)) with 1-based, distinct
+    sites.  A string maps basis state s to s ^ flip, X and Y setting the
+    flip bits, with amplitude coeff * i^(number of Y) * (-1)^(number of
+    set bits of s under Y and Z).  Strings sharing a flip pattern are
+    summed in the order given and zero amplitudes dropped.  The matrix is
+    real when every coeff * i^(number of Y) is."""
+    dim = 1 << N
+    by_flip = {}
+    for coeff, ops in terms:
+        flip = signs = 0
+        factor = complex(coeff)
+        for site, pauli in ops:
+            bit = 1 << (N - site)
+            if pauli in "XY":
+                flip |= bit
+            if pauli in "YZ":
+                signs |= bit
+            if pauli == "Y":
+                factor *= 1j
+        by_flip.setdefault(flip, []).append((factor, signs))
+    real = all(f.imag == 0 for strings in by_flip.values() for f, _ in strings)
+    dtype = np.float64 if real else np.complex128
+    rows = np.arange(dim, dtype=np.int32)
+
+    def amplitudes(flip, strings):
+        # column of each row for this flip, and the summed amplitudes
+        cols = rows ^ np.int32(flip)
+        amp = np.zeros(dim, dtype=dtype)
+        for factor, signs in strings:
+            sign = 1.0 - 2.0 * (np.bitwise_count(cols & signs) & 1)
+            amp += (factor.real if real else factor) * sign
+        return cols, amp
+
+    # two passes, count then fill, so that only the final arrays are allocated
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    for flip, strings in by_flip.items():
+        indptr[1:] += amplitudes(flip, strings)[1] != 0
+    np.cumsum(indptr, out=indptr)
+    fill = indptr[:-1].copy()
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    data = np.empty(indptr[-1], dtype=dtype)
+    for flip, strings in by_flip.items():
+        cols, amp = amplitudes(flip, strings)
+        nz = np.flatnonzero(amp)
+        at = fill[nz]
+        indices[at] = cols[nz]
+        data[at] = amp[nz]
+        fill[nz] += 1
+    out = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
+    out.sort_indices()
+    return out
 
 
 def _bonds(params: ModelParams):
@@ -117,71 +161,26 @@ def _bonds(params: ModelParams):
     return out
 
 
-def _hamiltonian_sparse(params: ModelParams) -> sp.csr_matrix:
-    N, ch = params.N, math.cosh(params.eta)
-    H = sp.csr_matrix((1 << N, 1 << N))
-    for j, k, twisted in _bonds(params):
-        sx = _site(N, j, _SX) @ _site(N, k, _SX)
-        sy = (_site(N, j, _SY) @ _site(N, k, _SY)).real
-        sz = _site(N, j, _SZ) @ _site(N, k, _SZ)
-        if twisted:
-            H = H + sx - sy - ch * sz
-        else:
-            H = H + sx + sy + ch * sz
-    return H.real
-
-
-class _BitwiseH:
-    """Matrix-free H application via spin-flip rules.
-
-    Per bond, the xy part maps a basis state to the one with both bond
-    spins flipped, with amplitude 2 on antiparallel pairs (bulk) or on
-    parallel pairs (twisted bond, where sxsx - sysy raises/lowers both).
-    The zz part is diagonal.
-    """
-
-    def __init__(self, params: ModelParams):
-        N, ch = params.N, math.cosh(params.eta)
-        dim = 1 << N
-        i = np.arange(dim, dtype=np.intp)
-        diag = np.zeros(dim)
-        hops = []
-        for j, k, twisted in _bonds(params):
-            p1, p2 = N - j, N - k
-            mask = (1 << p1) | (1 << p2)
-            equal = ((i >> p1) & 1) == ((i >> p2) & 1)
-            zz = np.where(equal, 1.0, -1.0)
-            diag += (-ch if twisted else ch) * zz
-            active = equal if twisted else ~equal
-            dst = i[active]
-            hops.append((dst, dst ^ mask))
-        self.diag = diag
-        self.hops = hops
-
-    def __call__(self, v):
-        out = self.diag * v
-        for dst, src in self.hops:
-            out[dst] += 2.0 * v[src]
-        return out
-
-
 def build_hamiltonian(params: ModelParams) -> ChainOperator:
     """H = sum_bonds sx.sx + sy.sy + cosh(eta) sz.sz with the closing bond
-    sign-twisted on the antiperiodic chain.  Real symmetric; dense matrix
-    attached for N <= 12, matrix-free application at any N <= 20."""
+    sign-twisted on the antiperiodic chain.  Real symmetric CSR at any
+    N <= 20; the dense matrix is derived on demand for N <= 12."""
     if any(params.theta):
         raise ValueError("the Hamiltonian is defined at zero inhomogeneities")
-    mv = _BitwiseH(params)
-    dense = _hamiltonian_sparse(params).toarray() if params.N <= DENSE_MAX else None
-    return ChainOperator(params.N, mv, dense=dense, hermitian=True,
-                         label=f"H[{params.boundary.value},N={params.N}]")
+    ch = math.cosh(params.eta)
+    terms = []
+    for j, k, twisted in _bonds(params):
+        sign = -1.0 if twisted else 1.0
+        terms += [(1.0, ((j, "X"), (k, "X"))), (sign, ((j, "Y"), (k, "Y"))),
+                  (sign * ch, ((j, "Z"), (k, "Z")))]
+    return ChainOperator(params.N, _pauli_csr(params.N, terms), hermitian=True)
 
 
 def _rotation_index(N: int) -> np.ndarray:
     """src[i] = index of the basis state whose right-rotation-and-flip is i,
     so that (t0 v)[i] = v[src[i]]."""
     dim = 1 << N
-    i = np.arange(dim, dtype=np.intp)
+    i = np.arange(dim, dtype=np.int32)
     # t(0)|s_1..s_N> = |sbar_N, s_1, .., s_{N-1}>: new index j has MSB = ~old LSB
     # and the rest shifted.  Invert: from j, old state is (j without MSB) << 1 | ~MSB.
     msb = (i >> (N - 1)) & 1
@@ -197,18 +196,10 @@ def build_momentum_charge(params: ModelParams) -> ChainOperator:
         raise ValueError("momentum charge is defined for the antiperiodic chain")
     if any(params.theta):
         raise ValueError("momentum charge requires zero inhomogeneities")
-    src = _rotation_index(params.N)
-
-    def mv(v):
-        return v[src]
-
-    dense = None
-    if params.N <= DENSE_MAX:
-        dim = 1 << params.N
-        dense = sp.csr_matrix(
-            (np.ones(dim), (np.arange(dim), src)), shape=(dim, dim))
-    return ChainOperator(params.N, mv, dense=dense, hermitian=False,
-                         label=f"t0[N={params.N}]")
+    dim = 1 << params.N
+    t0 = sp.csr_matrix((np.ones(dim), _rotation_index(params.N),
+                        np.arange(dim + 1, dtype=np.int32)), shape=(dim, dim))
+    return ChainOperator(params.N, t0)
 
 
 def build_h2_charge(params: ModelParams) -> ChainOperator:
@@ -218,68 +209,75 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
     H2 = sum_j [ -ch sx sy sz + ch sy sx sz - sy sz sx
                  + ch sz sy sx - ch sz sx sy + sx sz sy ]_{j,j+1,j+2}
 
-    with ch = cosh(eta) and the twisted wrap s_{N+k} = sx_k s_k sx_k.
-    Hermitian; commutes with H and t(u)."""
+    with ch = cosh(eta) and the twisted wrap s_{N+k} = sx_k s_k sx_k, that
+    is sx, -sy, -sz on a site past the seam.  Hermitian; commutes with H
+    and t(u)."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("H2 charge is defined for the antiperiodic chain")
     if params.N < 3:
         raise ValueError("three-site charge needs N >= 3")
     if params.N > DENSE_MAX:
-        raise ValueError(f"H2 charge is built densely; N <= {DENSE_MAX} only")
+        raise ValueError(f"H2 charge is capped at N <= {DENSE_MAX}")
     N, ch = params.N, math.cosh(params.eta)
-    dim = 1 << N
-
-    def wrapped(j, m):
-        # site index folded into 1..N; crossing the seam conjugates by sx
-        if j <= N:
-            return _site(N, j, m)
-        jj = j - N
-        return _site(N, jj, _SX @ m @ _SX)
-
-    terms = [(-ch, _SX, _SY, _SZ), (ch, _SY, _SX, _SZ), (-1.0, _SY, _SZ, _SX),
-             (ch, _SZ, _SY, _SX), (-ch, _SZ, _SX, _SY), (1.0, _SX, _SZ, _SY)]
-    H2 = sp.csr_matrix((dim, dim), dtype=complex)
+    shape = [(-ch, "XYZ"), (ch, "YXZ"), (-1.0, "YZX"),
+             (ch, "ZYX"), (-ch, "ZXY"), (1.0, "XZY")]
+    terms = []
     for j in range(1, N + 1):
-        for coeff, m1, m2, m3 in terms:
-            H2 = H2 + coeff * (wrapped(j, m1) @ wrapped(j + 1, m2) @ wrapped(j + 2, m3))
-    return ChainOperator(N, None, dense=H2.toarray(), hermitian=True,
-                         dtype=np.complex128, label=f"H2[N={N}]")
+        for coeff, paulis in shape:
+            ops = []
+            for site, pauli in enumerate(paulis, start=j):
+                if site > N:
+                    site -= N
+                    coeff = coeff if pauli == "X" else -coeff
+                ops.append((site, pauli))
+            terms.append((coeff, tuple(ops)))
+    return ChainOperator(N, _pauli_csr(N, terms), hermitian=True)
+
+
+class _TransferContraction:
+    """t(u) applied to the leading axis of an array by running the
+    auxiliary space through R_{01}, ..., R_{0N} once per auxiliary state.
+
+    R(u - th) on (auxiliary, site) keeps the states |00> and |11> with
+    weight a = sinh(u-th+eta)/sinh(eta), keeps |01> and |10> with weight
+    b = sinh(u-th)/sinh(eta) and swaps them with weight 1, so R(0) at
+    th = 0 is the permutation."""
+
+    dtype = np.dtype(np.complex128)
+
+    def __init__(self, u: complex, params: ModelParams):
+        sh = cmath.sinh(params.eta)
+        self.weights = [(cmath.sinh(u - th + params.eta) / sh, cmath.sinh(u - th) / sh)
+                        for th in params.theta]
+        self.twisted = params.boundary is Boundary.ANTIPERIODIC
+
+    def __matmul__(self, v):
+        out = np.zeros(v.shape, dtype=self.dtype)
+        for aux in (0, 1):
+            psi = np.zeros((2,) + v.shape, dtype=self.dtype)
+            psi[aux] = v
+            for j, (a, b) in enumerate(self.weights, start=1):
+                q = psi.reshape(2, 1 << (j - 1), 2, -1)   # (aux, left, site, rest)
+                q[0, :, 0] *= a
+                q[1, :, 1] *= a
+                up_down = q[0, :, 1].copy()
+                q[0, :, 1] *= b
+                q[0, :, 1] += q[1, :, 0]
+                q[1, :, 0] *= b
+                q[1, :, 0] += up_down
+            # tr_0[sx_0 T] picks the flipped auxiliary state; tr_0[T] the same one
+            out += psi[1 - aux] if self.twisted else psi[aux]
+        return out
 
 
 def transfer_matrix(u: complex, params: ModelParams) -> ChainOperator:
     """Twisted transfer matrix t(u) = tr_0 [ sx_0 R_{0N}(u-th_N)...R_{01}(u-th_1) ]
-    (trace without the twist for the periodic chain), built densely by
-    contracting the 2x2 auxiliary structure site by site.
-
-    R blocks in the auxiliary basis: [[a P+ + b P-, s^-], [s^+, b P+ + a P-]]
-    with a = sinh(u-th+eta)/sinh(eta), b = sinh(u-th)/sinh(eta) and
-    P+- = (1 +- sz)/2, so R(0) at th=0 is the permutation.
-    """
+    (trace without the twist for the periodic chain), applied matrix-free
+    in O(N 2^N); no 2^N x 2^N matrix is formed unless `.dense` is asked
+    for."""
     if params.N > DENSE_MAX:
-        raise ValueError(f"transfer matrix is dense-only; N <= {DENSE_MAX}")
-    N, eta = params.N, params.eta
-    sh = cmath.sinh(eta)
-    # accumulated monodromy blocks [[A, B], [C, D]], starting from R_{01};
-    # blocks are dense from the first step (the product fills in anyway),
-    # site factors stay sparse so each step is a cheap sparse @ dense
-    A = B = C = D = None
-    for j in range(1, N + 1):
-        a = cmath.sinh(u - params.theta[j - 1] + eta) / sh
-        b = cmath.sinh(u - params.theta[j - 1]) / sh
-        pz = _site(N, j, np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex))
-        mz = _site(N, j, np.array([[0.0, 0.0], [0.0, 1.0]], dtype=complex))
-        r11 = a * pz + b * mz
-        r12 = _site(N, j, _SM.astype(complex))
-        r21 = _site(N, j, _SP.astype(complex))
-        r22 = b * pz + a * mz
-        if A is None:
-            A, B, C, D = (m.toarray() for m in (r11, r12, r21, r22))
-        else:
-            A, B, C, D = (r11 @ A + r12 @ C, r11 @ B + r12 @ D,
-                          r21 @ A + r22 @ C, r21 @ B + r22 @ D)
-    t = (B + C) if params.boundary is Boundary.ANTIPERIODIC else (A + D)
-    return ChainOperator(N, None, dense=np.asarray(t), hermitian=False,
-                         dtype=np.complex128, label=f"t[u={u},N={N}]")
+        raise ValueError(f"transfer matrix is capped at N <= {DENSE_MAX}")
+    return ChainOperator(params.N, _TransferContraction(u, params))
 
 
 @dataclass
@@ -311,29 +309,15 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
     """Lowest `count` eigenvalues of a Hermitian chain operator, with
     degeneracy multiplicities clustered at 1e-8.
 
-    Dense path (numpy/scipy eigh) when a dense realization exists, ARPACK
-    otherwise or when forced with method="iterative"; the ARPACK start
-    vector is derived from `seed` so repeated runs are identical.  For a
-    non-Hermitian operator (the unitary t(0)) the full dense spectrum is
-    returned sorted by real part, `count` permitting truncation.
+    Dense path (scipy eigh) for N <= DENSE_MAX, ARPACK above it or when
+    forced with method="iterative"; the ARPACK start vector is derived
+    from `seed` so repeated runs are identical.
     """
+    if not op.hermitian:
+        raise ValueError("ed_spectrum needs a Hermitian operator")
     if count < 1 or count > op.dim:
         raise ValueError("count out of range")
-    if not op.hermitian:
-        d = op.dense
-        if d is None:
-            raise ValueError("non-Hermitian spectra need a dense realization")
-        vals, vecs = np.linalg.eig(d)
-        order = np.lexsort((vals.imag, vals.real))
-        vals, vecs = vals[order], vecs[:, order]
-        if count < op.dim:
-            vals, vecs = vals[:count], vecs[:, :count]
-        res = SpectrumResult(vals, _cluster(vals), "dense")
-        return (res, vecs) if return_vectors else res
-
-    use_iter = method == "iterative" or (method is None and op.dense is None)
-    if method == "dense" and op.dense is None:
-        raise ValueError("no dense realization available")
+    use_iter = method == "iterative" or (method is None and op.n_sites > DENSE_MAX)
     if use_iter:
         if count >= op.dim - 1:
             raise ValueError("iterative path needs count < dim-1")
@@ -344,11 +328,13 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
         vals, vecs = vals[order], vecs[:, order]
         res = SpectrumResult(vals, _cluster(vals), "iterative")
     else:
-        d = op.dense
-        if count < op.dim:
-            vals, vecs = scipy.linalg.eigh(d, subset_by_index=(0, count - 1))
-        else:
-            vals, vecs = scipy.linalg.eigh(d)
+        if op.n_sites > DENSE_MAX:
+            raise ValueError("no dense realization available")
+        # a private Fortran-ordered matrix that eigh overwrites in place, so
+        # that no second 2^N x 2^N copy is made
+        d = op._op.toarray(order="F")
+        subset = (0, count - 1) if count < op.dim else None
+        vals, vecs = scipy.linalg.eigh(d, subset_by_index=subset, overwrite_a=True)
         res = SpectrumResult(vals, _cluster(vals), "dense")
     return (res, vecs) if return_vectors else res
 

@@ -87,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--force", action="store_true",
                        help="recompute cached points")
-        p.add_argument("--workers", type=int, default=1)
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; flags override its values")
         p.add_argument("--formats", type=str, default="csv,json,svg",
@@ -120,7 +119,7 @@ def _cmd_experiment(args) -> int:
     }
     config = ExperimentConfig.from_dict(file_data, overrides)
 
-    records = run(config, force=args.force, workers=args.workers)
+    records = run(config, force=args.force)
 
     formats = [f.strip().lower() for f in args.formats.split(",") if f.strip()]
     x_field, y_field = _PLOT_FIELDS[config.experiment]

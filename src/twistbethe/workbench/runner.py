@@ -1,21 +1,22 @@
 """Experiment orchestration: sweep grids, per-point JSON cache, records.
 
 Each sweep point is computed once and cached as a JSON file keyed by a
-hash of the experiment name and its full parameter set (solver and series
-settings included), so interrupted sweeps resume and repeated runs are
-byte-identical.  Point failures are recorded with an error status and
-never abort the sweep.
+hash of the experiment name, its full parameter set (solver and series
+settings included) and a digest of the package sources, so interrupted
+sweeps resume, repeated runs are byte-identical, and a point computed by
+different code is never served.  Point failures are recorded with an
+error status and never abort the sweep.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import hashlib
 import json
 import math
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -94,6 +95,18 @@ def _canonical(obj):
     return obj
 
 
+@functools.cache
+def _source_digest() -> str:
+    """SHA-256 over the package's .py sources (relative path and bytes),
+    read once per process."""
+    root = Path(__file__).resolve().parents[1]
+    h = hashlib.sha256()
+    for path in sorted(root.rglob("*.py")):
+        h.update(path.relative_to(root).as_posix().encode("utf-8") + b"\0")
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
 def _point_key(experiment: str, params: dict, config: ExperimentConfig) -> str:
     payload = {
         "experiment": experiment,
@@ -101,6 +114,7 @@ def _point_key(experiment: str, params: dict, config: ExperimentConfig) -> str:
         "solver": _canonical(asdict(config.solver)),
         "series": _canonical(asdict(config.series)),
         "version": __version__,
+        "sources": _source_digest(),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
@@ -321,34 +335,24 @@ def _compute_point(config: ExperimentConfig, params: dict, body) -> ResultRecord
                             f"{type(exc).__name__}: {exc}", stamp, __version__)
 
 
-def run(config: ExperimentConfig, *, force: bool = False,
-        workers: int = 1) -> list[ResultRecord]:
+def run(config: ExperimentConfig, *, force: bool = False) -> list[ResultRecord]:
     """Execute a sweep, reusing cached points unless ``force``.
 
-    Points run independently (optionally in parallel); results return in
-    grid order.  A failed point yields a record with status ``error``.
+    Points run one after another; results return in grid order.  A failed
+    point yields a record with status ``error``.
     """
-    points = _grid(config)
-    paths = [_cache_path(config, config.experiment,
-                         _point_key(config.experiment, params, config))
-             for params, _ in points]
-
-    def produce(idx: int) -> ResultRecord:
-        params, body = points[idx]
-        path = paths[idx]
+    records = []
+    for params, body in _grid(config):
+        path = _cache_path(config, config.experiment,
+                           _point_key(config.experiment, params, config))
         if not force and path.exists():
             try:
-                return ResultRecord.from_dict(
-                    json.loads(path.read_text(encoding="utf-8")))
+                records.append(ResultRecord.from_dict(
+                    json.loads(path.read_text(encoding="utf-8"))))
+                continue
             except (json.JSONDecodeError, KeyError):
                 pass  # corrupt cache entry: recompute below
         record = _compute_point(config, params, body)
         _write_atomic(path, json.dumps(record.to_dict(), indent=2) + "\n")
-        return record
-
-    if workers and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(produce, range(len(points))))
-    else:
-        records = [produce(i) for i in range(len(points))]
+        records.append(record)
     return records

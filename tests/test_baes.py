@@ -128,6 +128,18 @@ def test_solver_jacobian_consistency():
     assert warm.residual < 1e-12
 
 
+def test_solver_stops_at_float_resolution():
+    # the equations' terms reach 2 pi (N + M), so an absolute 1e-12 lies
+    # below their float64 resolution here
+    N, eta = 1896, 0.8
+    qn = ground_quantum_numbers(N, Boundary.ANTIPERIODIC)
+    roots = solve_log_baes(eta, N, qn)
+    expected = (thermo.ground_energy_tl(N, eta, Boundary.ANTIPERIODIC)
+                + thermo.hole_quantization_energy(N, eta, Boundary.ANTIPERIODIC))
+    assert abs(energy_hom(roots) - expected) < 1e-5
+    assert roots.residual < 1e-9
+
+
 def test_solver_convergence_error_carries_iterate():
     qn = ground_quantum_numbers(8, Boundary.ANTIPERIODIC)
     tight = SolverSettings(tol=1e-15, max_iter=1, jacobi_sweeps=0)
@@ -157,7 +169,7 @@ def test_hole_decomposition_with_actual_hole_position():
 
 
 def test_excited_sets_one_hole():
-    qns = excited_quantum_numbers(8, Boundary.ANTIPERIODIC, holes=1)
+    qns = excited_quantum_numbers(8, Boundary.ANTIPERIODIC, holes=1, eta=ETA)
     assert len(qns) == 3  # ground and its mirror excluded
     ground = ground_quantum_numbers(8, Boundary.ANTIPERIODIC)
     e_ground = energy_hom(solve_log_baes(ETA, 8, ground))
@@ -167,7 +179,7 @@ def test_excited_sets_one_hole():
 
 
 def test_excited_sets_two_holes():
-    qns = excited_quantum_numbers(9, Boundary.ANTIPERIODIC, holes=2)
+    qns = excited_quantum_numbers(9, Boundary.ANTIPERIODIC, holes=2, eta=ETA)
     M_red = 4  # one fewer root than the 9-site ground state
     assert len(qns) == math.comb(M_red + 2, 2)
     for qn in qns:
@@ -176,13 +188,22 @@ def test_excited_sets_two_holes():
     assert energies == sorted(energies)
 
 
+def test_excited_sets_ranked_at_their_own_eta():
+    # the ranking must solve each configuration at the eta asked for: the
+    # eta = 2 order of this list is off by up to 0.58 at eta = 0.3
+    for eta in (0.3, 0.7):
+        qns = excited_quantum_numbers(11, Boundary.ANTIPERIODIC, holes=2, eta=eta)
+        energies = [energy_hom(solve_log_baes(eta, 11, qn)) for qn in qns]
+        assert energies == sorted(energies), eta
+
+
 def test_excited_sets_invalid_combinations():
     with pytest.raises(ValueError):
-        excited_quantum_numbers(8, Boundary.ANTIPERIODIC, holes=2)
+        excited_quantum_numbers(8, Boundary.ANTIPERIODIC, holes=2, eta=ETA)
     with pytest.raises(ValueError):
-        excited_quantum_numbers(8, Boundary.PERIODIC, holes=1)
+        excited_quantum_numbers(8, Boundary.PERIODIC, holes=1, eta=ETA)
     with pytest.raises(ValueError):
-        excited_quantum_numbers(8, Boundary.ANTIPERIODIC, holes=3)
+        excited_quantum_numbers(8, Boundary.ANTIPERIODIC, holes=3, eta=ETA)
 
 
 def test_one_hole_excitation_cost_shrinks_with_size():
@@ -193,7 +214,7 @@ def test_one_hole_excitation_cost_shrinks_with_size():
     for N in (41, 81):
         qn0 = ground_quantum_numbers(N, Boundary.PERIODIC)
         e0 = energy_hom(solve_log_baes(ETA, N, qn0))
-        qns = excited_quantum_numbers(N, Boundary.PERIODIC, holes=1)
+        qns = excited_quantum_numbers(N, Boundary.PERIODIC, holes=1, eta=ETA)
         e1 = energy_hom(solve_log_baes(ETA, N, qns[0]))
         costs[N] = e1 - e0
     bandwidth = thermo.hole_energy(0.0, ETA) - thermo.hole_energy(

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import kron_oracle
 from twistbethe.common import Boundary
 from twistbethe.model import (
     DEGENERACY_TOL,
@@ -57,12 +58,56 @@ def test_hamiltonian_is_real_symmetric():
 
 
 def test_bitwise_matvec_matches_dense():
+    # against the Kronecker oracle: H.dense and H.matvec share one CSR matrix
     params = ModelParams(7, ETA, "anti")
     H = build_hamiltonian(params)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(params.dim)
-    dense_result = H.dense @ v
+    dense_result = kron_oracle.hamiltonian(7, ETA, True) @ v
     assert H.matvec(v) == pytest.approx(dense_result, abs=1e-12)
+
+
+def test_hamiltonian_matches_kron_oracle():
+    for eta in (ETA, 0.7):
+        for N in range(2, DENSE_MAX + 1):
+            for boundary in ("anti", "per"):
+                H = build_hamiltonian(ModelParams(N, eta, boundary)).dense
+                oracle = kron_oracle.hamiltonian(N, eta, boundary == "anti")
+                assert np.array_equal(H, oracle), (eta, N, boundary)
+
+
+def test_h2_charge_matches_kron_oracle():
+    for N in (3, 4, 5, 8):
+        H2 = build_h2_charge(ModelParams(N, 1.3, "anti")).dense
+        assert np.max(np.abs(H2 - kron_oracle.h2_charge(N, 1.3))) < 1e-12
+
+
+def test_transfer_matrix_matches_kron_oracle():
+    rng = np.random.default_rng(5)
+    for N in (2, 3, 6):
+        theta = tuple(rng.uniform(-0.3, 0.3, N))
+        for boundary in ("anti", "per"):
+            params = ModelParams(N, 1.1, boundary, theta=theta)
+            for u in (0.0, 0.3 + 0.2j, -0.7 + 1.1j):
+                oracle = kron_oracle.transfer_matrix(u, 1.1, theta, boundary == "anti")
+                t = transfer_matrix(u, params)
+                assert np.max(np.abs(t.dense - oracle)) < 1e-12
+                v = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+                assert np.max(np.abs(t.matvec(v) - oracle @ v)) < 1e-12
+
+
+def test_operators_are_int32_csr():
+    params = ModelParams(6, ETA, "anti")
+    for op in (build_hamiltonian(params), build_momentum_charge(params),
+               build_h2_charge(params)):
+        assert op._op.format == "csr"
+        assert op._op.indices.dtype == np.int32 and op._op.indptr.dtype == np.int32
+    assert build_hamiltonian(params).dtype == np.float64
+
+
+def test_ed_spectrum_rejects_non_hermitian():
+    with pytest.raises(ValueError):
+        ed_spectrum(build_momentum_charge(ModelParams(4, ETA, "anti")), 2)
 
 
 def test_dense_vs_iterative_ground():

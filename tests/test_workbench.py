@@ -16,6 +16,7 @@ from twistbethe.workbench import (
     run,
     verify,
 )
+from twistbethe.workbench import runner
 from twistbethe.workbench.cli import main
 
 
@@ -76,13 +77,14 @@ def test_run_caches_and_is_deterministic(tmp_path):
         assert a.outputs == pytest.approx(b.outputs, abs=1e-14)
 
 
-def test_run_workers_match_serial(tmp_path):
-    cfg = _cfg(tmp_path, N_list=[3, 4, 5])
-    serial = run(cfg, force=True)
-    parallel = run(_cfg(tmp_path, N_list=[3, 4, 5]), force=True, workers=2)
-    assert [r.params for r in parallel] == [r.params for r in serial]
-    for a, b in zip(parallel, serial):
-        assert a.outputs == pytest.approx(b.outputs, abs=1e-12)
+def test_point_key_tracks_sources(tmp_path, monkeypatch):
+    # a cached point is served only to the code that computed it
+    cfg = _cfg(tmp_path)
+    params = {"eta": 2.0, "N": 4}
+    key = runner._point_key(cfg.experiment, params, cfg)
+    assert runner._point_key(cfg.experiment, params, cfg) == key
+    monkeypatch.setattr(runner, "_source_digest", lambda: "0" * 64)
+    assert runner._point_key(cfg.experiment, params, cfg) != key
 
 
 def test_corrupt_cache_recomputed(tmp_path):
