@@ -7,11 +7,14 @@ Supported laws, with size N and parameters (a, b) or (a, b, c):
     exp           value = a * exp(b*N)
     exp-offset    value = a * exp(b*N) + c
 
-No-offset kinds reduce to exact linear regression in log space.  Offset
-kinds run Levenberg-Marquardt least squares seeded from a grid of offset
-candidates, which avoids the local-minimum trap of three-parameter
-exponential fits.  ``extrapolate`` reads off the N -> infinity asymptote
-of a converged fit.
+Every law is ``a * exp(b*x) [+ c]`` in the abscissa ``x = log N`` (power
+kinds) or ``x = N`` (exp kinds).  No-offset kinds reduce to exact linear
+regression in log space.  Offset kinds use variable projection (Golub &
+Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): for a fixed exponent, ``a``
+and ``c`` solve a two-column linear least-squares problem, so only a 1-D
+search over the exponent remains, followed by one Levenberg-Marquardt
+polish of all three parameters.  ``extrapolate`` reads off the
+N -> infinity asymptote of a converged fit.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import least_squares, minimize_scalar
 
 __all__ = [
     "Sample",
@@ -32,6 +35,12 @@ __all__ = [
 ]
 
 _KINDS = ("power", "power-offset", "exp", "exp-offset")
+
+# exponent grid of the offset search, in units of 1 / (x_max - x_min)
+_BETA_GRID = np.linspace(-60.0, 60.0, 241)
+
+# most small sizes that ``fit_with_window`` drops
+_WINDOW_MAX_DROPS = 3
 
 
 def _coerce_kind(kind) -> str:
@@ -47,6 +56,12 @@ def _coerce_kind(kind) -> str:
 
 def _has_offset(kind: str) -> bool:
     return kind.endswith("-offset")
+
+
+def _abscissa(kind: str, N):
+    """The x in which the law reads a*exp(b*x): log N for power kinds, N for exp."""
+    N = np.asarray(N, dtype=float)
+    return np.log(N) if kind.startswith("power") else N
 
 
 @dataclass(frozen=True)
@@ -76,11 +91,7 @@ class FitResult:
 
     def predict(self, N):
         """Model value at size N; accepts scalars or arrays."""
-        N_arr = np.asarray(N, dtype=float)
-        if self.kind.startswith("power"):
-            val = self.a * N_arr ** self.b
-        else:
-            val = self.a * np.exp(self.b * N_arr)
+        val = self.a * np.exp(self.b * _abscissa(self.kind, N))
         if self.c is not None:
             val = val + self.c
         return val if val.ndim else float(val)
@@ -121,63 +132,51 @@ def _log_linear(kind: str, Ns, vals):
         raise ValueError(
             "sign-mixed data cannot be log-linearized; use an offset kind")
     sign = 1.0 if pos else -1.0
-    x = np.log(Ns) if kind.startswith("power") else Ns
-    y = np.log(np.abs(vals))
-    b, log_a = np.polyfit(x, y, 1)
+    b, log_a = np.polyfit(_abscissa(kind, Ns), np.log(np.abs(vals)), 1)
     return sign * math.exp(log_a), float(b)
 
 
-def _residual_fn(kind: str, Ns, vals):
-    if kind.startswith("power"):
-        def fun(p):
-            return p[0] * Ns ** p[1] + p[2] - vals
-    else:
-        def fun(p):
-            return p[0] * np.exp(p[1] * Ns) + p[2] - vals
-    return fun
+def _project(beta: float, t, vals):
+    """Linear least squares for (A, c) in ``A*exp(beta*t - max(beta, 0)) + c``
+    at a fixed exponent; returns the residual sum of squares, A and c.  The
+    exponential peaks at 1 on ``t`` in [0, 1], so both columns stay of
+    order one."""
+    basis = np.column_stack([np.exp(beta * t - max(beta, 0.0)), np.ones_like(t)])
+    coef = np.linalg.lstsq(basis, vals, rcond=None)[0]
+    r = basis @ coef - vals
+    return float(r @ r), coef[0], coef[1]
 
 
 def _fit_offset(kind: str, Ns, vals):
-    """Grid of offset candidates, each polished by Levenberg-Marquardt."""
-    vmin, vmax = float(np.min(vals)), float(np.max(vals))
-    spread = vmax - vmin
-    if spread == 0.0:
+    """Variable projection: a and c are linear once b is fixed, so only the
+    exponent is searched, as ``beta = b * (x_max - x_min)``: the best point
+    of a coarse grid, refined by bounded Brent, then one Levenberg-Marquardt
+    polish of all three parameters."""
+    if np.ptp(vals) == 0.0:
         raise ValueError("constant data leaves the law parameters undetermined")
-    grid = np.linspace(vmin - spread, vmax + spread, 50)
-    fun = _residual_fn(kind, Ns, vals)
+    x = _abscissa(kind, Ns)
+    span = x[-1] - x[0]
+    t = (x - x[0]) / span
+    i = int(np.argmin([_project(beta, t, vals)[0] for beta in _BETA_GRID]))
+    lo, hi = _BETA_GRID[max(i - 1, 0)], _BETA_GRID[min(i + 1, _BETA_GRID.size - 1)]
+    beta = minimize_scalar(lambda v: _project(v, t, vals)[0], bounds=(lo, hi),
+                           method="bounded", options={"xatol": 1e-10}).x
+    _, A, c = _project(beta, t, vals)
+    # A*exp(beta*t - max(beta, 0)) == A*exp(b*(x - x_ref)), b = beta/span
+    x_ref = x[-1] if beta > 0 else x[0]
 
-    best = None
-    for c0 in grid:
-        shifted = vals - c0
-        if not (np.all(shifted > 0) or np.all(shifted < 0)):
-            continue
-        try:
-            a0, b0 = _log_linear(kind.split("-")[0], Ns, shifted)
-        except (ValueError, OverflowError):
-            continue
-        with np.errstate(over="ignore", invalid="ignore"):
-            sol = least_squares(fun, x0=[a0, b0, c0], method="lm",
-                                xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                                max_nfev=20000)
-        if not np.all(np.isfinite(sol.x)):
-            continue
-        if best is None or sol.cost < best.cost:
-            best = sol
-    if best is None:
-        raise FitError("no offset candidate yields a single-signed seed",
-                       iterate=None)
-    # restart once from the winner; polishes stragglers at no real cost
+    def fun(p):
+        return p[0] * np.exp(p[1] * (x - x_ref)) + p[2] - vals
+
     with np.errstate(over="ignore", invalid="ignore"):
-        again = least_squares(fun, x0=best.x, method="lm",
-                              xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                              max_nfev=20000)
-    if again.cost <= best.cost and np.all(np.isfinite(again.x)):
-        best = again
-    if not best.success:
-        raise FitError(f"offset fit stalled: {best.message}",
-                       iterate=tuple(best.x))
-    a, b, c = best.x
-    return float(a), float(b), float(c)
+        sol = least_squares(fun, x0=[A, beta / span, c], method="lm",
+                            xtol=1e-15, ftol=1e-15, gtol=1e-15,
+                            max_nfev=20000)
+    if not (sol.success and np.all(np.isfinite(sol.x))):
+        raise FitError(f"offset fit stalled: {sol.message}",
+                       iterate=tuple(sol.x))
+    A, b, c = sol.x
+    return float(A * math.exp(-b * x_ref)), float(b), float(c)
 
 
 def fit(kind, samples) -> FitResult:
@@ -196,15 +195,16 @@ def fit(kind, samples) -> FitResult:
     Raises
     ------
     ValueError
-        Too few points, or sign-mixed data for a no-offset kind.
+        Fewer distinct sizes than parameters + 1, or sign-mixed data for a
+        no-offset kind.
     FitError
         The nonlinear engine did not converge; carries its last iterate.
     """
     kind = _coerce_kind(kind)
     Ns, vals = _coerce_samples(samples)
     n_free = 3 if _has_offset(kind) else 2
-    if len(Ns) < n_free + 1:
-        raise ValueError(f"{kind} fit needs at least {n_free + 1} points")
+    if np.unique(Ns).size < n_free + 1:
+        raise ValueError(f"{kind} fit needs at least {n_free + 1} distinct sizes")
 
     if _has_offset(kind):
         a, b, c = _fit_offset(kind, Ns, vals)
@@ -228,15 +228,15 @@ def extrapolate(fit_result: FitResult) -> float:
     return 0.0
 
 
-def fit_with_window(kind, samples, max_drops: int = 3):
+def fit_with_window(kind, samples):
     """Fit with the small-N window policy.
 
     The smallest size is excluded while its deleted residual (its deviation
     from the law fitted to the remaining points) exceeds 3x that fit's rms:
     small sizes carry subleading corrections outside the fitted law, and a
     flexible offset law fitted to all points would bend through such a
-    point instead of exposing it.  At most ``max_drops`` sizes are removed,
-    never going below the minimum point count.
+    point instead of exposing it.  At most three sizes are removed, never
+    going below the minimum count of distinct sizes.
 
     Returns ``(FitResult, samples_used)``.
     """
@@ -245,7 +245,7 @@ def fit_with_window(kind, samples, max_drops: int = 3):
     n_free = 3 if _has_offset(kind) else 2
     floor = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     drops = 0
-    while drops < max_drops and len(Ns) > n_free + 1:
+    while drops < _WINDOW_MAX_DROPS and np.unique(Ns[1:]).size > n_free:
         rest = fit(kind, list(zip(Ns[1:], vals[1:])))
         deleted = rest.predict(Ns[0]) - vals[0]
         if abs(deleted) <= 3.0 * max(rest.rms_residual, floor):

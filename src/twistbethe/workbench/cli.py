@@ -32,7 +32,6 @@ _PLOT_FIELDS = {
     "GapScan": ("N", "gap_over_cosh"),
     "ChargeScan": ("N", "h2_inh"),
     "Thermo": ("eta", "e_b_over_cosh"),
-    "Fit": ("N", "a"),
 }
 
 
@@ -73,8 +72,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in EXPERIMENTS:
-        if name == "Fit":
-            continue
         p = sub.add_parser(name, aliases=[name.lower()],
                            help=f"run the {name} experiment")
         p.add_argument("--eta", type=str, default=None,

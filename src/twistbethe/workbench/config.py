@@ -21,7 +21,6 @@ EXPERIMENTS = (
     "GapScan",
     "ChargeScan",
     "Thermo",
-    "Fit",
 )
 
 _CANONICAL = {name.lower(): name for name in EXPERIMENTS}
@@ -54,8 +53,7 @@ class ExperimentConfig:
     """One experiment sweep: grid, physical parameters, solver knobs, output.
 
     ``eta`` may be a single value or a list (swept); ``N_list`` must be
-    nonempty and ascending.  ``fit_*`` fields are used only by the Fit
-    experiment, which reads its samples from a CSV produced by a scan.
+    nonempty and ascending.
     """
 
     experiment: str
@@ -66,10 +64,6 @@ class ExperimentConfig:
     series: SeriesSettings = field(default_factory=SeriesSettings)
     output_dir: str = "results"
     seed: int = 0
-    fit_kind: str | None = None
-    fit_input: str | None = None
-    fit_x: str = "N"
-    fit_y: str | None = None
 
     def __post_init__(self):
         self.experiment = coerce_experiment(self.experiment)
@@ -112,10 +106,6 @@ class ExperimentConfig:
 
         self.output_dir = str(self.output_dir)
         self.seed = int(self.seed)
-
-        if self.experiment == "Fit":
-            if not self.fit_kind or not self.fit_input:
-                raise ConfigError("Fit experiment needs fit_kind and fit_input")
 
     @property
     def etas(self) -> tuple:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from .. import baes, model, scaling, thermo
+from .. import baes, model, thermo
 from ..common import Boundary, Parity
 from .config import ExperimentConfig
 
@@ -258,30 +258,6 @@ def _exp_thermo(cfg: ExperimentConfig, eta: float, N: int | None) -> dict:
     }
 
 
-def _exp_fit(cfg: ExperimentConfig) -> dict:
-    from .emit import parse_csv
-
-    rows = parse_csv(cfg.fit_input)
-    y_field = cfg.fit_y
-    if y_field is None:
-        raise ValueError("Fit experiment needs fit_y (value column name)")
-    samples = []
-    for row in rows:
-        if str(row.get("status", "ok")) not in ("ok", ""):
-            continue
-        samples.append((int(float(row[cfg.fit_x])), float(row[y_field])))
-    result = scaling.fit(cfg.fit_kind, samples)
-    return {
-        "kind": result.kind,
-        "a": float(result.a),
-        "b": float(result.b),
-        "c": float(result.c) if result.c is not None else "",
-        "rms_residual": float(result.rms_residual),
-        "n_points": int(result.n_points),
-        "asymptote": float(scaling.extrapolate(result)) if result.b < 0 else "",
-    }
-
-
 # ---------------------------------------------------------------------------
 # sweep driver
 
@@ -295,15 +271,6 @@ def _grid(config: ExperimentConfig):
         for eta in config.etas:
             params = {"eta": float(eta), "seed": config.seed}
             points.append((params, lambda c, e=eta: _exp_thermo(c, e, None)))
-        return points
-    if exp == "Fit":
-        params = {
-            "kind": config.fit_kind,
-            "input": str(config.fit_input),
-            "x": config.fit_x,
-            "y": config.fit_y,
-        }
-        points.append((params, lambda c: _exp_fit(c)))
         return points
 
     bodies = {

@@ -35,13 +35,34 @@ def test_power_recovery_negative_branch():
     assert r.b == pytest.approx(-0.9746, abs=1e-10)
 
 
-def test_power_offset_recovery():
-    a, b, c = 1.028, -0.3787, 1.027
-    r = fit("power-offset", _samples(a * NS ** b + c))
-    assert r.a == pytest.approx(a, abs=1e-6)
-    assert r.b == pytest.approx(b, abs=1e-6)
-    assert r.c == pytest.approx(c, abs=1e-6)
-    assert extrapolate(r) == pytest.approx(c, abs=1e-6)
+# id -> (kind, a, b, c, sizes): both signs of a and b, small and large N;
+# "power-large-n" has the shape of the large-N boundary-energy fits
+_OFFSET_LAWS = {
+    "power-decay": ("power-offset", 1.028, -0.3787, 1.027, NS),
+    "power-neg-amp": ("power-offset", -2.3, -1.8, 0.4, NS),
+    "power-steep": ("power-offset", 0.7, -4.0, -1.1, NS),
+    "power-grow": ("power-offset", 1.3, 0.5, 0.4, NS),
+    "power-grow-neg-amp": ("power-offset", -0.6, 2.0, 3.0, NS),
+    "power-large-n": ("power-offset", -3.9, -2.0, 1.0274615,
+                      np.array([100, 150, 200, 300, 400, 600, 800, 1200, 1600],
+                               dtype=float)),
+    "exp-decay": ("exp-offset", -0.55, -0.41, 1.0274615, NS),
+    "exp-steep": ("exp-offset", 2.1, -2.0, -0.3, NS),
+    "exp-grow": ("exp-offset", 1.1, 0.3, 0.2, NS),
+    "exp-grow-neg-amp": ("exp-offset", -0.8, 0.5, 1.0, NS),
+}
+
+
+@pytest.mark.parametrize("kind, a, b, c, ns", list(_OFFSET_LAWS.values()),
+                         ids=list(_OFFSET_LAWS))
+def test_offset_law_recovery(kind, a, b, c, ns):
+    x = np.log(ns) if kind.startswith("power") else ns
+    r = fit(kind, [(int(n), float(v)) for n, v in zip(ns, a * np.exp(b * x) + c)])
+    assert r.a == pytest.approx(a, abs=1e-8)
+    assert r.b == pytest.approx(b, abs=1e-8)
+    assert r.c == pytest.approx(c, abs=1e-8)
+    if b < 0:
+        assert extrapolate(r) == r.c
 
 
 def test_exp_recovery():
@@ -50,14 +71,6 @@ def test_exp_recovery():
     assert r.a == pytest.approx(a, abs=1e-8)
     assert r.b == pytest.approx(b, abs=1e-8)
     assert extrapolate(r) == 0.0
-
-
-def test_exp_offset_recovery():
-    a, b, c = -0.55, -0.41, 1.0274615
-    r = fit("exp-offset", _samples(a * np.exp(b * NS) + c))
-    assert r.a == pytest.approx(a, abs=1e-6)
-    assert r.b == pytest.approx(b, abs=1e-6)
-    assert r.c == pytest.approx(c, abs=1e-6)
 
 
 def test_kind_spelling_variants():
@@ -139,6 +152,13 @@ def test_too_few_points():
         fit("power", [Sample(4, 1.0), Sample(6, 0.5)])
     with pytest.raises(ValueError):
         fit("power-offset", [Sample(4, 1.0), Sample(6, 0.5), Sample(8, 0.3)])
+    # points at repeated sizes do not determine a law
+    with pytest.raises(ValueError):
+        fit("power", [(4, 1.0), (4, 2.0), (4, 3.0)])
+    with pytest.raises(ValueError):
+        fit("power-offset", [(4, 1.0), (4, 2.0), (6, 0.5), (6, 0.4)])
+    with pytest.raises(ValueError):
+        fit("exp-offset", [(4, 1.0), (4, 2.0), (4, 0.5), (4, 0.4)])
 
 
 def test_sample_validation():

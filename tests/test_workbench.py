@@ -47,7 +47,7 @@ def test_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError):
         _cfg(tmp_path, boundary="moebius")
     with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="Fit")  # missing kind/input
+        ExperimentConfig(experiment="Fit")  # unknown: fits run via `twistbethe fit`
 
 
 def test_from_dict_overrides(tmp_path):
@@ -205,6 +205,20 @@ def test_cli_fit_subcommand(tmp_path, capsys):
     assert payload["a"] == pytest.approx(3.0, abs=1e-8)
     assert payload["b"] == pytest.approx(-1.5, abs=1e-8)
     assert payload["n_points"] == 5
+
+    # the window drops an outlier at the smallest size and recovers the offset
+    with open(path, "w", newline="") as fh:
+        w = _csv.writer(fh)
+        w.writerow(["N", "value", "status"])
+        for n in (4, 6, 8, 10, 12, 14, 16, 18):
+            w.writerow([n, 1.0 * n ** -1.5 + 0.5 + (0.2 if n == 4 else 0.0), "ok"])
+    argv = ["fit", "--kind", "power-offset", "--input", str(path), "--y", "value"]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["n_points"] == 8
+    assert main(argv + ["--window"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["n_points"] == 7
+    assert payload["asymptote"] == pytest.approx(0.5, abs=1e-8)
 
     assert main(["fit", "--kind", "power", "--input",
                  str(tmp_path / "missing.csv"), "--y", "value"]) == 2
