@@ -655,8 +655,9 @@ def inhom_contribution(N: int, eta: float, observable: str,
     the reduced (homogeneous) value from the ground quantum numbers minus
     the exact value.
 
-    Energy: exact value from ED (dense to N=12, ARPACK to N=20); positive
-    for even N, negative for odd.  Momentum: the exact even-N doublet
+    Energy: exact value from the lowest ED level (parity-sector ED:
+    dense eigh to N = 9, ARPACK to N = 20); positive for even N, negative
+    for odd.  Momentum: the exact even-N doublet
     values are +-i pi/2; the reduced value is compared against the member
     it approximates (nearest branch), which makes the defect a smooth
     single-signed sequence in N; exactly 0 for odd N.  H2: the exact
@@ -673,7 +674,7 @@ def inhom_contribution(N: int, eta: float, observable: str,
         if N > _model.ITERATIVE_MAX:
             raise ValueError("exact value needs ED; N <= 20")
         H = _model.build_hamiltonian(params)
-        spec = _model.ed_spectrum(H, 2, seed=seed)
+        spec = _model.ed_spectrum(H, 1, seed=seed)
         return float(e_hom - spec.eigenvalues[0])
 
     if key in ("momentum", "p"):

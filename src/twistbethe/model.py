@@ -1,4 +1,4 @@
-"""Spin-chain operators on the full 2^N space and the exact-diagonalization oracle.
+"""Spin-chain operators on the 2^N space and the exact-diagonalization oracle.
 
 Site 1 is the most significant bit of the basis index, so basis state
 |s_1 ... s_N> has index sum_j s_j 2^{N-j} with s=0 for spin up.  The
@@ -12,9 +12,14 @@ whose bit rules (X and Y flip a bit, Y and Z contribute a sign or phase)
 give each matrix element directly, and t(0) is an index permutation.  The
 transfer matrix t(u) is applied matrix-free by contracting the six-vertex
 R-matrix one site at a time, O(N 2^N) per application.  Hamiltonians are
-real symmetric; H2 and t(u) are complex.  A dense matrix is derived on
-demand only for N <= 12 (this is a 5 GB class machine); the CSR
-Hamiltonian carries ARPACK up to N = 20.
+real symmetric; H2 and t(u) are complex.
+
+H and H2 commute with the parity P = prod sigma^z on both boundaries, and
+are held as their two P blocks, each on 2^(N-1) basis states; no 2^N CSR
+matrix is built for them.  ED solves the blocks one at a time: dense eigh
+up to DENSE_SECTOR_MAX states per block, ARPACK above, which carries the
+spectrum to N = 20.  A dense 2^N matrix is derived on demand only for
+N <= 12, a size chosen for 5 GB class hardware.
 """
 
 from __future__ import annotations
@@ -32,6 +37,9 @@ from .common import Boundary
 
 DENSE_MAX = 12
 ITERATIVE_MAX = 20
+# largest parity block given to dense eigh (N = 9); above it ARPACK is
+# faster, by the crossover measured on a 2-core box with one BLAS thread
+DENSE_SECTOR_MAX = 256
 DEGENERACY_TOL = 1e-8
 
 
@@ -63,14 +71,14 @@ class ModelParams:
 
 
 class ChainOperator:
-    """Linear operator on the 2^N space, held as a CSR matrix or as a
-    matrix-free contraction; both are applied with `@`.  `matvec` is the
-    one way to apply it, and `dense` is derived from it on first use, for
-    N <= DENSE_MAX only."""
+    """Linear operator on the 2^N space (or on one parity block of it), held
+    as a CSR matrix, as parity blocks or as a matrix-free contraction; all
+    are applied with `@`.  `matvec` is the one way to apply it, and `dense`
+    is derived from it on first use, for N <= DENSE_MAX only."""
 
     def __init__(self, n_sites, op, *, hermitian=False):
         self.n_sites = n_sites
-        self.dim = 1 << n_sites
+        self.dim = op.shape[0]
         self._op = op
         self._dense = None
         self.hermitian = hermitian
@@ -86,7 +94,7 @@ class ChainOperator:
     def dense(self):
         """Dense matrix, or None above DENSE_MAX sites."""
         if self._dense is None and self.n_sites <= DENSE_MAX:
-            if sp.issparse(self._op):
+            if hasattr(self._op, "toarray"):
                 self._dense = self._op.toarray()
             else:
                 self._dense = self._op @ np.eye(self.dim, dtype=self.dtype)
@@ -97,16 +105,42 @@ class ChainOperator:
                                    dtype=self.dtype)
 
 
-def _pauli_csr(N: int, terms) -> sp.csr_matrix:
-    """Sum of Pauli strings as a CSR matrix with int32 indices.
+class _ParityBlocks:
+    """Operator commuting with P = prod sigma^z, held as its two blocks:
+    `blocks[p]` is a CSR matrix on the basis states `states[p]` (ascending),
+    those with an even (p = 0, P = +1) or odd (p = 1) number of down spins.
+    Applied and densified by scattering through `states`."""
+
+    def __init__(self, blocks, states):
+        self.blocks, self.states = blocks, states
+        dim = 2 * blocks[0].shape[0]
+        self.shape = (dim, dim)
+        self.dtype = blocks[0].dtype
+
+    def __matmul__(self, v):
+        out = np.empty(v.shape, dtype=np.result_type(self.dtype, v.dtype))
+        for block, states in zip(self.blocks, self.states):
+            out[states] = block @ v[states]
+        return out
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.dtype)
+        for block, states in zip(self.blocks, self.states):
+            out[np.ix_(states, states)] = block.toarray()
+        return out
+
+
+def _pauli_csr(N: int, terms) -> _ParityBlocks:
+    """Sum of Pauli strings as its two parity blocks, CSR with int32 indices.
 
     Each term is (coeff, ((site, "X"|"Y"|"Z"), ...)) with 1-based, distinct
-    sites.  A string maps basis state s to s ^ flip, X and Y setting the
-    flip bits, with amplitude coeff * i^(number of Y) * (-1)^(number of
-    set bits of s under Y and Z).  Strings sharing a flip pattern are
-    summed in the order given and zero amplitudes dropped.  The matrix is
-    real when every coeff * i^(number of Y) is."""
-    dim = 1 << N
+    sites, and flips an even number of sites, so that the sum commutes with
+    P.  A string maps basis state s to s ^ flip, X and Y setting the flip
+    bits, with amplitude coeff * i^(number of Y) * (-1)^(number of set bits
+    of s under Y and Z).  Strings sharing a flip pattern are summed in the
+    order given and zero amplitudes dropped.  The blocks are real when
+    every coeff * i^(number of Y) is."""
+    dim, half = 1 << N, 1 << (N - 1)
     by_flip = {}
     for coeff, ops in terms:
         flip = signs = 0
@@ -119,13 +153,20 @@ def _pauli_csr(N: int, terms) -> sp.csr_matrix:
                 signs |= bit
             if pauli == "Y":
                 factor *= 1j
+        if flip.bit_count() % 2:
+            raise ValueError("a Pauli string flipping an odd number of sites breaks parity")
         by_flip.setdefault(flip, []).append((factor, signs))
     real = all(f.imag == 0 for strings in by_flip.values() for f, _ in strings)
     dtype = np.float64 if real else np.complex128
-    rows = np.arange(dim, dtype=np.int32)
+    # the even sector's states, then the odd sector's, and each state's rank
+    # within its own sector, which is its column index in the block
+    states = np.arange(dim, dtype=np.int32)
+    rows = np.argsort(np.bitwise_count(states) & 1, kind="stable").astype(np.int32)
+    rank = np.empty(dim, dtype=np.int32)
+    rank[rows] = states & (half - 1)
 
     def amplitudes(flip, strings):
-        # column of each row for this flip, and the summed amplitudes
+        # the state each row connects to for this flip, and the amplitudes
         cols = rows ^ np.int32(flip)
         amp = np.zeros(dim, dtype=dtype)
         for factor, signs in strings:
@@ -133,7 +174,8 @@ def _pauli_csr(N: int, terms) -> sp.csr_matrix:
             amp += (factor.real if real else factor) * sign
         return cols, amp
 
-    # two passes, count then fill, so that only the final arrays are allocated
+    # two passes, count then fill, so that only the final arrays are
+    # allocated; both blocks share them, the even block's rows first
     indptr = np.zeros(dim + 1, dtype=np.int32)
     for flip, strings in by_flip.items():
         indptr[1:] += amplitudes(flip, strings)[1] != 0
@@ -145,12 +187,17 @@ def _pauli_csr(N: int, terms) -> sp.csr_matrix:
         cols, amp = amplitudes(flip, strings)
         nz = np.flatnonzero(amp)
         at = fill[nz]
-        indices[at] = cols[nz]
+        indices[at] = rank[cols[nz]]
         data[at] = amp[nz]
         fill[nz] += 1
-    out = sp.csr_matrix((data, indices, indptr), shape=(dim, dim))
-    out.sort_indices()
-    return out
+    split = indptr[half]
+    blocks = (sp.csr_matrix((data[:split], indices[:split], indptr[:half + 1]),
+                            shape=(half, half)),
+              sp.csr_matrix((data[split:], indices[split:], indptr[half:] - split),
+                            shape=(half, half)))
+    for block in blocks:
+        block.sort_indices()
+    return _ParityBlocks(blocks, (rows[:half], rows[half:]))
 
 
 def _bonds(params: ModelParams):
@@ -163,8 +210,8 @@ def _bonds(params: ModelParams):
 
 def build_hamiltonian(params: ModelParams) -> ChainOperator:
     """H = sum_bonds sx.sx + sy.sy + cosh(eta) sz.sz with the closing bond
-    sign-twisted on the antiperiodic chain.  Real symmetric CSR at any
-    N <= 20; the dense matrix is derived on demand for N <= 12."""
+    sign-twisted on the antiperiodic chain.  Real symmetric, held as its
+    two parity blocks; the dense matrix is derived on demand for N <= 12."""
     if any(params.theta):
         raise ValueError("the Hamiltonian is defined at zero inhomogeneities")
     ch = math.cosh(params.eta)
@@ -210,14 +257,12 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
                  + ch sz sy sx - ch sz sx sy + sx sz sy ]_{j,j+1,j+2}
 
     with ch = cosh(eta) and the twisted wrap s_{N+k} = sx_k s_k sx_k, that
-    is sx, -sy, -sz on a site past the seam.  Hermitian; commutes with H
-    and t(u)."""
+    is sx, -sy, -sz on a site past the seam.  Hermitian, held as its two
+    parity blocks; commutes with H and t(u)."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("H2 charge is defined for the antiperiodic chain")
     if params.N < 3:
         raise ValueError("three-site charge needs N >= 3")
-    if params.N > DENSE_MAX:
-        raise ValueError(f"H2 charge is capped at N <= {DENSE_MAX}")
     N, ch = params.N, math.cosh(params.eta)
     shape = [(-ch, "XYZ"), (ch, "YXZ"), (-1.0, "YZX"),
              (ch, "ZYX"), (-ch, "ZXY"), (1.0, "XZY")]
@@ -246,6 +291,7 @@ class _TransferContraction:
     dtype = np.dtype(np.complex128)
 
     def __init__(self, u: complex, params: ModelParams):
+        self.shape = (params.dim, params.dim)
         sh = cmath.sinh(params.eta)
         self.weights = [(cmath.sinh(u - th + params.eta) / sh, cmath.sinh(u - th) / sh)
                         for th in params.theta]
@@ -273,10 +319,8 @@ class _TransferContraction:
 def transfer_matrix(u: complex, params: ModelParams) -> ChainOperator:
     """Twisted transfer matrix t(u) = tr_0 [ sx_0 R_{0N}(u-th_N)...R_{01}(u-th_1) ]
     (trace without the twist for the periodic chain), applied matrix-free
-    in O(N 2^N); no 2^N x 2^N matrix is formed unless `.dense` is asked
-    for."""
-    if params.N > DENSE_MAX:
-        raise ValueError(f"transfer matrix is capped at N <= {DENSE_MAX}")
+    in O(N 2^N) at any N; no 2^N x 2^N matrix is formed unless `.dense` is
+    asked for."""
     return ChainOperator(params.N, _TransferContraction(u, params))
 
 
@@ -304,39 +348,72 @@ def _cluster(vals: np.ndarray, tol: float = DEGENERACY_TOL) -> list[int]:
     return degs
 
 
+def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None):
+    """Lowest min(count, block dim) eigenpairs of each parity block of a
+    Hermitian operator, as (states, values, block vectors) per block, and
+    the solver that ran: "dense" (scipy eigh) for blocks of at most
+    DENSE_SECTOR_MAX states, where ARPACK cannot run (k >= dim - 1) or when
+    forced, "iterative" (ARPACK through `matvec`) otherwise.  Both blocks
+    have the same dimension, so both take the same solver."""
+    if method not in (None, "dense", "iterative"):
+        raise ValueError(f"unknown ED method: {method!r}")
+    if method == "dense" and op.n_sites > DENSE_MAX:
+        raise ValueError("no dense realization available")
+    parts = []
+    for block, states in zip(op._op.blocks, op._op.states):
+        dim = block.shape[0]
+        k = min(count, dim)
+        if k >= dim - 1 or method == "dense" or (method is None and dim <= DENSE_SECTOR_MAX):
+            kind = "dense"
+            # a private Fortran-ordered matrix that eigh overwrites in place
+            subset = (0, k - 1) if k < dim else None
+            vals, vecs = scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
+                                           overwrite_a=True)
+        else:
+            kind = "iterative"
+            v0 = np.random.default_rng(seed).standard_normal(dim)
+            block_op = ChainOperator(op.n_sites, block, hermitian=True)
+            vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
+            order = np.argsort(vals)
+            vals, vecs = vals[order], vecs[:, order]
+        parts.append((states, vals, vecs))
+    return parts, kind
+
+
+def _full_vectors(dim: int, parts) -> np.ndarray:
+    """Block eigenvectors scattered into the full space, one column each, in
+    the order of `parts`."""
+    out = np.zeros((dim, sum(len(vals) for _, vals, _ in parts)),
+                   dtype=np.result_type(*(vecs for _, _, vecs in parts)))
+    col = 0
+    for states, vals, vecs in parts:
+        out[states, col:col + len(vals)] = vecs
+        col += len(vals)
+    return out
+
+
 def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
                 method: str | None = None, return_vectors: bool = False):
-    """Lowest `count` eigenvalues of a Hermitian chain operator, with
-    degeneracy multiplicities clustered at 1e-8.
+    """Lowest `count` eigenvalues of a Hermitian chain operator (H or H2),
+    with degeneracy multiplicities clustered at 1e-8.
 
-    Dense path (scipy eigh) for N <= DENSE_MAX, ARPACK above it or when
-    forced with method="iterative"; the ARPACK start vector is derived
-    from `seed` so repeated runs are identical.
+    Each parity block gives its lowest min(count, block dim) levels, by
+    dense eigh up to DENSE_SECTOR_MAX states and ARPACK above (`method`
+    forces "dense" or "iterative"; ARPACK falls back to eigh where it
+    cannot run); the levels are merged and sorted.  The ARPACK start
+    vector is derived from `seed` so repeated runs are identical.  With
+    `return_vectors`, the eigenvectors come as full-space columns, each of
+    definite parity.
     """
     if not op.hermitian:
         raise ValueError("ed_spectrum needs a Hermitian operator")
     if count < 1 or count > op.dim:
         raise ValueError("count out of range")
-    use_iter = method == "iterative" or (method is None and op.n_sites > DENSE_MAX)
-    if use_iter:
-        if count >= op.dim - 1:
-            raise ValueError("iterative path needs count < dim-1")
-        rng = np.random.default_rng(seed)
-        v0 = rng.standard_normal(op.dim)
-        vals, vecs = spla.eigsh(op.as_scipy(), k=count, which="SA", v0=v0)
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-        res = SpectrumResult(vals, _cluster(vals), "iterative")
-    else:
-        if op.n_sites > DENSE_MAX:
-            raise ValueError("no dense realization available")
-        # a private Fortran-ordered matrix that eigh overwrites in place, so
-        # that no second 2^N x 2^N copy is made
-        d = op._op.toarray(order="F")
-        subset = (0, count - 1) if count < op.dim else None
-        vals, vecs = scipy.linalg.eigh(d, subset_by_index=subset, overwrite_a=True)
-        res = SpectrumResult(vals, _cluster(vals), "dense")
-    return (res, vecs) if return_vectors else res
+    parts, kind = _sector_eigs(op, count, seed=seed, method=method)
+    vals = np.concatenate([vals for _, vals, _ in parts])
+    order = np.argsort(vals, kind="stable")[:count]
+    res = SpectrumResult(vals[order], _cluster(vals[order]), kind)
+    return (res, _full_vectors(op.dim, parts)[:, order]) if return_vectors else res
 
 
 @dataclass
@@ -358,22 +435,23 @@ class GroundSpace:
 def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
     """Ground doublet with the t(0) branch resolved.
 
-    The twisted-chain ground level is exactly doubly degenerate; the
-    degenerate pair is split by diagonalizing the 2x2 block of t(0), whose
-    eigenvalues are +-i (even N) or +-1 (odd N).
+    The twisted-chain ground level is exactly doubly degenerate: t(0)
+    anticommutes with P, so each parity block holds one member, and the
+    basis is the lowest state of each block.  The pair is split by
+    diagonalizing the 2x2 block of t(0), whose eigenvalues are +-i (even
+    N) or +-1 (odd N).
     """
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("ground_space resolves the twisted-chain doublet")
     H = build_hamiltonian(params)
-    res, vecs = ed_spectrum(H, 2, seed=seed, return_vectors=True)
-    if res.degeneracies[0] != 2:
+    parts, _ = _sector_eigs(H, 1, seed=seed, method=None)
+    (_, e_even, _), (_, e_odd, _) = parts
+    if abs(e_even[0] - e_odd[0]) >= DEGENERACY_TOL:
         raise RuntimeError(
-            f"ground level not doubly degenerate at clustering tol: {res.eigenvalues}")
-    V = np.linalg.qr(vecs[:, :2])[0]
-    t0 = build_momentum_charge(params)
-    block = V.conj().T @ np.column_stack([t0.matvec(V[:, 0]), t0.matvec(V[:, 1])])
-    w, s = np.linalg.eig(block)
-    return GroundSpace(energy=float(res.eigenvalues[0]), vectors=V,
+            f"parity sectors' ground energies differ: {e_even[0]!r}, {e_odd[0]!r}")
+    V = _full_vectors(params.dim, parts)
+    w, s = np.linalg.eig(doublet_block(build_momentum_charge(params), V))
+    return GroundSpace(energy=float(min(e_even[0], e_odd[0])), vectors=V,
                        t0_eigenvalues=w, t0_vectors=V @ s)
 
 

@@ -1,15 +1,18 @@
 """Operators and exact diagonalization: spectra, identities, contracts."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
 import kron_oracle
+from twistbethe import model
 from twistbethe.common import Boundary
 from twistbethe.model import (
     DEGENERACY_TOL,
     DENSE_MAX,
+    DENSE_SECTOR_MAX,
     ChainOperator,
     ModelParams,
     build_h2_charge,
@@ -97,11 +100,15 @@ def test_transfer_matrix_matches_kron_oracle():
 
 
 def test_operators_are_int32_csr():
+    # t(0) is one CSR matrix; H and H2 are two parity blocks, each CSR
     params = ModelParams(6, ETA, "anti")
-    for op in (build_hamiltonian(params), build_momentum_charge(params),
-               build_h2_charge(params)):
-        assert op._op.format == "csr"
-        assert op._op.indices.dtype == np.int32 and op._op.indptr.dtype == np.int32
+    matrices = [build_momentum_charge(params)._op]
+    for op in (build_hamiltonian(params), build_h2_charge(params)):
+        assert len(op._op.blocks) == 2
+        matrices += op._op.blocks
+    for m in matrices:
+        assert m.format == "csr"
+        assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
     assert build_hamiltonian(params).dtype == np.float64
 
 
@@ -118,6 +125,47 @@ def test_dense_vs_iterative_ground():
     assert dense.method == "dense"
     assert iterative.method == "iterative"
     assert iterative.eigenvalues == pytest.approx(dense.eigenvalues, abs=1e-8)
+
+
+def _parity_signs(N):
+    # P = prod sigma^z on each basis state: -1 per down spin (set bit)
+    return 1.0 - 2.0 * (np.bitwise_count(np.arange(1 << N)) & 1)
+
+
+@functools.cache
+def _oracle_levels(N, twisted):
+    # the oracle matrix is block diagonal in P, so its spectrum is the union
+    # of its two blocks' spectra, at a quarter of the cost of the full eigvalsh
+    H = kron_oracle.hamiltonian(N, ETA, twisted)
+    even = _parity_signs(N) > 0
+    assert not H[np.ix_(even, ~even)].any()
+    return np.sort(np.concatenate([np.linalg.eigvalsh(H[np.ix_(m, m)])
+                                   for m in (even, ~even)]))
+
+
+@pytest.mark.parametrize("method", [None, "dense", "iterative"])
+@pytest.mark.parametrize("count", [1, 2, 6])
+@pytest.mark.parametrize("boundary", ["anti", "per"])
+@pytest.mark.parametrize("N", range(2, DENSE_MAX + 1))
+def test_sector_ed_matches_kron_oracle(N, boundary, count, method):
+    # N = 2..12 spans both sides of the dense/ARPACK crossover at
+    # DENSE_SECTOR_MAX states per parity block (N = 9 | 10)
+    count = min(count, 1 << N)
+    H = build_hamiltonian(ModelParams(N, ETA, boundary))
+    spec, vecs = ed_spectrum(H, count, method=method, return_vectors=True)
+    oracle = _oracle_levels(N, boundary == "anti")[:count]
+    assert np.max(np.abs(spec.eigenvalues - oracle)) < 1e-10
+    assert spec.degeneracies == model._cluster(oracle)
+    if method is None:
+        half = 1 << (N - 1)
+        assert spec.method == ("dense" if half <= DENSE_SECTOR_MAX else "iterative")
+    for lam, v in zip(spec.eigenvalues, vecs.T):
+        assert np.linalg.norm(H.matvec(v) - lam * v) < 1e-9
+    if boundary == "anti" and count == 6:
+        # t(0) anticommutes with P and maps one block onto the other
+        parts, _ = model._sector_eigs(H, count, seed=0, method=method)
+        (_, even, _), (_, odd, _) = parts
+        assert np.max(np.abs(even - odd)) < 1e-10
 
 
 def test_spectrum_contract():
@@ -172,6 +220,11 @@ def test_momentum_charge_matches_transfer_at_zero():
     t0 = transfer_matrix(0.0, params).dense
     charge = build_momentum_charge(params).dense
     assert np.max(np.abs(t0 - charge)) < 1e-12
+    # past DENSE_MAX the matrix-free t(0) still applies
+    params = ModelParams(DENSE_MAX + 2, ETA, "anti")
+    v = np.random.default_rng(2).standard_normal(params.dim)
+    assert np.max(np.abs(transfer_matrix(0.0, params).matvec(v)
+                         - build_momentum_charge(params).matvec(v))) < 1e-12
 
 
 def test_momentum_charge_commutes_with_hamiltonian():
@@ -196,15 +249,25 @@ def test_h2_charge_contract():
     assert np.linalg.norm(T @ H2 - H2 @ T) < 1e-9
     with pytest.raises(ValueError):
         build_h2_charge(ModelParams(2, ETA, "anti"))
+    # past DENSE_MAX, by matvec on a unit vector
+    params = ModelParams(DENSE_MAX + 2, ETA, "anti")
+    H, H2 = build_hamiltonian(params), build_h2_charge(params)
+    v = np.random.default_rng(4).standard_normal(params.dim)
+    v /= np.linalg.norm(v)
+    assert np.linalg.norm(H.matvec(H2.matvec(v)) - H2.matvec(H.matvec(v))) < 1e-10
 
 
 def test_ground_space_doublet():
-    for N in (4, 5, 6, 7):
+    for N in range(2, DENSE_MAX + 1):
         params = ModelParams(N, ETA, "anti")
         gs = ground_space(params)
         assert gs.vectors.shape == (params.dim, 2)
         overlap = gs.vectors.conj().T @ gs.vectors
         assert np.max(np.abs(overlap - np.eye(2))) < 1e-10
+        # one member in each parity sector
+        signs = _parity_signs(N)
+        parities = sorted(np.vdot(v, signs * v).real for v in gs.vectors.T)
+        assert parities == pytest.approx([-1.0, 1.0], abs=1e-12)
         eigs = sorted(gs.t0_eigenvalues, key=lambda z: z.imag)
         if N % 2 == 0:
             assert eigs[0] == pytest.approx(-1j, abs=1e-9)
@@ -244,4 +307,6 @@ def test_dense_threshold_respected():
     spec = ed_spectrum(H, 1)
     assert spec.method == "iterative"
     with pytest.raises(ValueError):
-        transfer_matrix(0.0, params)
+        ed_spectrum(H, 1, method="dense")
+    assert transfer_matrix(0.0, params).dense is None
+    assert build_h2_charge(params).dense is None
