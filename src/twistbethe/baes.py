@@ -4,7 +4,13 @@ Two layers:
 
 * the reduced homogeneous logarithmic equations for M real rapidities
   x_j in (-pi/eta, pi/eta], driven by quantum numbers I_j (solved for any
-  N by damped Newton; this is the production path for large chains), and
+  N by damped Newton; this is the production path for large chains).
+  Their interaction sum_k theta_2(x_j - x_k) is summed by K Fourier modes
+  of theta_2 in O(M K), and the Newton step is solved through a
+  (2K+1)-square capacitance system in O(M K^2).  K is the fewest modes
+  whose tail lies three orders below the equations' float64 resolution,
+  about 19/eta; where 2K+1 >= M (small M, or small eta) the closed form
+  is summed pairwise in O(M^2) and the step is a dense O(M^3) solve, and
 
 * the inhomogeneous equations for the N complex roots lambda_j of the
   twisted chain's Q-polynomial (solved by fitting Q to the
@@ -38,10 +44,12 @@ class SolverSettings:
 
     damping scales the first Newton step; the line search halves from
     there.  jacobi_sweeps are frozen-interaction scalar prepasses between
-    the decoupled initial guess and the full Newton iteration; they cost
-    nothing and make N ~ several hundred converge in a handful of Newton
-    steps.  tol is an absolute residual bound; the log-BAE solver raises
-    it to the float64 resolution of its equations where that is larger."""
+    the decoupled initial guess and the full Newton iteration; each costs
+    one residual evaluation, as much as one line-search trial (O(M K) on
+    the Fourier-mode path, O(M^2) pairwise), and together they make
+    N ~ several hundred converge in a handful of Newton steps.  tol is an
+    absolute residual bound; the log-BAE solver raises it to the float64
+    resolution of its equations where that is larger."""
 
     tol: float = 1e-12
     max_iter: int = 200
@@ -215,41 +223,117 @@ class BetheRootsX:
     eta: float
     residual: float
     iterations: int
+    modes: int        # Fourier modes K of the interaction sums; 0 when pairwise
 
     @property
     def M(self) -> int:
         return len(self.x)
 
 
-def _log_bae_residual(x, eta, N, twice_I, anti):
+def _mode_count(eta: float, M: int, N: int) -> int:
+    """Fourier modes K for the interaction sums of M roots in an N-site
+    chain, or 0 when the pairwise closed form is cheaper (2K+1 >= M).
+
+    K is the smallest count whose tail bound 2M q^(K+1) / ((K+1)(1-q)),
+    q = e^(-2 eta), is at most eps 2 pi (N+M) / 1000: three orders below
+    the solver's stop tolerance, so the cut is invisible at float64."""
+    q = math.exp(-2.0 * eta)
+    bound = np.finfo(float).eps * 2.0 * math.pi * (N + M) / 1000.0
+    K = 1
+    while 2 * K + 1 < M:
+        if 2.0 * M * q ** (K + 1) / ((K + 1) * (1.0 - q)) <= bound:
+            return K
+        K += 1
+    return 0
+
+
+def _harmonics(x, eta: float, K: int) -> np.ndarray:
+    """e^(i n eta x) for n = 1..K, along a new last axis, as running
+    products of e^(i eta x): as accurate as exp of the rounded n eta x,
+    and several times cheaper."""
+    z = np.exp(1j * eta * np.asarray(x))[..., None]
+    return np.cumprod(np.broadcast_to(z, z.shape[:-1] + (K,)), axis=-1)
+
+
+class _Theta2Sum:
+    """y -> sum_k theta_2(y - x_k) over fixed sources x_k.
+
+    With K = 0 the closed form theta_m is summed pairwise, O(M) per point.
+    With K > 0 the series theta_2(x) = eta x + 2 sum_n q^n sin(n eta x)/n,
+    q = e^(-2 eta), is cut after K modes (see `_mode_count`): the sum
+    becomes eta (M y - sum x) + 2 sum_n (q^n/n) Im(e^(i n eta y) conj(S_n))
+    with S_n = sum_k e^(i n eta x_k), which costs O(M K) once and O(K) per
+    point."""
+
+    def __init__(self, x: np.ndarray, eta: float, K: int):
+        self.x, self.eta, self.K = x, eta, K
+        if K:
+            self.harmonics = _harmonics(x, eta, K)
+            n = np.arange(1, K + 1)
+            self.coef = (2.0 * np.exp(-2.0 * eta * n) / n) * np.conj(self.harmonics.sum(axis=0))
+            self.x_sum = x.sum()
+
+    def __call__(self, y):
+        y = np.asarray(y, dtype=float)
+        if not self.K:
+            return theta_m(2, y[..., None] - self.x, self.eta).sum(axis=-1)
+        h = self.harmonics if y is self.x else _harmonics(y, self.eta, self.K)
+        return self.eta * (len(self.x) * y - self.x_sum) + (h @ self.coef).imag
+
+
+def _log_bae_residual(x, eta, N, twice_I, anti, K):
     F = N * theta_m(1, x, eta) - math.pi * np.asarray(twice_I, dtype=float)
     if anti:
         F = F + eta * x
-    F = F - theta_m(2, x[:, None] - x[None, :], eta).sum(axis=1)
+    F = F - _Theta2Sum(x, eta, K)(x)
     return F
 
 
-def _log_bae_jacobian(x, eta, N, anti):
-    a2 = 2.0 * math.pi * _thermo.kernel_a(2, x[:, None] - x[None, :], eta)
-    J = a2.copy()
-    np.fill_diagonal(J, 0.0)
-    diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) - J.sum(axis=1)
+def _newton_step(x, F, eta, N, anti, K):
+    """Solve J step = -F for the Jacobian J = D + A of the log-BAEs, with
+    A_jk = 2 pi a_2(x_j - x_k) and D_j = 2 pi N Z'(x_j).
+
+    With K = 0, J is built densely and LU-solved, O(M^3).  With K > 0,
+    A = V V^T by the Fourier series of a_2: V has the columns sqrt(eta)
+    and sqrt(2 eta q^n) cos(n eta x), sqrt(2 eta q^n) sin(n eta x), and
+    the Woodbury identity solves the step through the (2K+1)-square
+    capacitance system I + V^T D^-1 V, O(M K^2).  A singular system
+    raises LinAlgError."""
+    a1 = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta)
+    if not K:
+        J = 2.0 * math.pi * _thermo.kernel_a(2, x[:, None] - x[None, :], eta)
+        np.fill_diagonal(J, 0.0)
+        diag = a1 - J.sum(axis=1)
+        if anti:
+            diag = diag + eta
+        np.fill_diagonal(J, diag)
+        return np.linalg.solve(J, -F)
+    h = _harmonics(x, eta, K)
+    w = np.sqrt(2.0 * eta * np.exp(-2.0 * eta * np.arange(1, K + 1)))
+    V = np.hstack([np.full((len(x), 1), math.sqrt(eta)), w * h.real, w * h.imag])
+    diag = a1 - V @ V.sum(axis=0)
     if anti:
         diag = diag + eta
-    np.fill_diagonal(J, diag)
-    return J
+    DV = V / diag[:, None]
+    g = -F / diag
+    cap = np.eye(V.shape[1]) + V.T @ DV
+    return g - DV @ np.linalg.solve(cap, V.T @ g)
+
+
+def _counting(x, roots: "BetheRootsX", theta2_sum: _Theta2Sum):
+    qn, eta, N = roots.qn, roots.eta, roots.qn.N
+    val = N * theta_m(1, x, eta)
+    if qn.boundary is Boundary.ANTIPERIODIC:
+        val = val + eta * x
+    val = val - theta2_sum(x)
+    return val / (2.0 * math.pi * N)
 
 
 def counting_function(x, roots: "BetheRootsX"):
     """Z(x) with the solved roots as sources; Z(x_j) = I_j/N exactly at the
     roots, and holes sit at Z(x0) = I_hole/N."""
-    qn, eta, N = roots.qn, roots.eta, roots.qn.N
     x = np.asarray(x, dtype=float)
-    val = N * theta_m(1, x, eta)
-    if qn.boundary is Boundary.ANTIPERIODIC:
-        val = val + eta * x
-    val = val - theta_m(2, (x[..., None] - roots.x), eta).sum(axis=-1)
-    out = val / (2.0 * math.pi * N)
+    out = _counting(x, roots, _Theta2Sum(roots.x, roots.eta, roots.modes))
     return out if out.ndim else float(out)
 
 
@@ -259,7 +343,8 @@ def hole_rapidity(roots: BetheRootsX, twice_I_hole: int) -> float:
     eta = roots.eta
     target = twice_I_hole / (2.0 * roots.qn.N)
     lo, hi = -math.pi / eta, math.pi / eta
-    f = lambda x: counting_function(x, roots) - target
+    theta2_sum = _Theta2Sum(roots.x, eta, roots.modes)   # the sources stay fixed
+    f = lambda x: _counting(x, roots, theta2_sum) - target
     return float(scipy.optimize.brentq(f, lo, hi, xtol=1e-14))
 
 
@@ -275,14 +360,23 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
     scalar sweeps.  Newton stops at settings.tol or at 4 ulp of the
     equations' terms, about 2 pi (N + M), whichever is larger: past
     N ~ 1000 an absolute 1e-12 is below float64 resolution.  Errors carry
-    the last iterate."""
+    the last iterate.
+
+    The interaction sums run over K Fourier modes of theta_2, K from
+    `_mode_count(eta, M, N)`, when 2K+1 < M: a residual then costs
+    O(M K) and a Newton step O(M K^2), through a low-rank solve.
+    Otherwise (small M, or small eta: K is about 19/eta, so at eta = 0.05
+    the modes start near M = 750) they are summed pairwise, O(M^2) per
+    residual and O(M^3) per step.  The result records K in `modes` (0
+    when pairwise)."""
     if qn.N != N:
         raise ValueError("quantum numbers built for a different N")
     anti = qn.boundary is Boundary.ANTIPERIODIC
     twice_I = np.asarray(qn.twice_I, dtype=float)
     M = len(twice_I)
     if M == 0:
-        return BetheRootsX(np.zeros(0), qn, eta, 0.0, 0)
+        return BetheRootsX(np.zeros(0), qn, eta, 0.0, 0, 0)
+    K = _mode_count(eta, M, N)
 
     if x0 is not None:
         x = np.asarray(x0, dtype=float).copy()
@@ -300,33 +394,32 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
             hi = np.where(g < target, hi, mid)
         x = 0.5 * (lo + hi)
         for _ in range(settings.jacobi_sweeps):
-            F = _log_bae_residual(x, eta, N, twice_I, anti)
+            F = _log_bae_residual(x, eta, N, twice_I, anti, K)
             diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
             x = x - F / diag
 
     tol = max(settings.tol, 4 * np.finfo(float).eps * 2.0 * math.pi * (N + M))
     scale = settings.damping
-    F = _log_bae_residual(x, eta, N, twice_I, anti)
+    F = _log_bae_residual(x, eta, N, twice_I, anti, K)
     best = np.max(np.abs(F))
     for it in range(1, settings.max_iter + 1):
         if best < tol:
             x = _fold_window(x, eta)
-            F = _log_bae_residual(x, eta, N, twice_I, anti)
+            F = _log_bae_residual(x, eta, N, twice_I, anti, K)
             res = float(np.max(np.abs(F)))
             if res > 10 * tol:
                 raise ConvergenceError("window folding moved roots off-branch",
                                        iterate=x, residual=res)
-            return BetheRootsX(x, qn, eta, res, it - 1)
-        J = _log_bae_jacobian(x, eta, N, anti)
+            return BetheRootsX(x, qn, eta, res, it - 1, K)
         try:
-            step = np.linalg.solve(J, -F)
+            step = _newton_step(x, F, eta, N, anti, K)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}", iterate=x,
                                    residual=best) from exc
         lam = scale
         while lam > 1e-8:
             xn = x + lam * step
-            Fn = _log_bae_residual(xn, eta, N, twice_I, anti)
+            Fn = _log_bae_residual(xn, eta, N, twice_I, anti, K)
             if np.max(np.abs(Fn)) < best * (1.0 - 1e-4 * lam) + 1e-300:
                 break
             lam *= 0.5

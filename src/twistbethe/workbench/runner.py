@@ -175,6 +175,7 @@ def _exp_solve_hom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
         "energy_per_site": float(energy / N),
         "residual": float(roots.residual),
         "iterations": int(roots.iterations),
+        "modes": int(roots.modes),
     }
 
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twistbethe import thermo
+from twistbethe import baes, thermo
 from twistbethe.baes import (
     ConvergenceError,
     QuantumNumbers,
@@ -89,11 +89,57 @@ def test_quantum_numbers_reject_bad_sets():
 
 
 def test_counting_function_hits_quantum_numbers():
-    for N, boundary in ((8, "anti"), (9, "per"), (10, "per"), (11, "anti")):
+    # N = 400 runs on the Fourier-mode path, the others pairwise
+    for N, boundary in ((8, "anti"), (9, "per"), (10, "per"), (11, "anti"), (400, "anti")):
         qn = ground_quantum_numbers(N, boundary)
         roots = solve_log_baes(ETA, N, qn)
+        assert (roots.modes > 0) == (N == 400)
         z = counting_function(roots.x, roots)
         assert z == pytest.approx(np.array(qn.twice_I) / (2.0 * N), abs=1e-12)
+
+
+def _pairwise_residual(x, eta, N, twice_I, anti):
+    """Log-BAE residual with theta_2(x_j - x_k) summed pairwise in closed form."""
+    F = N * theta_m(1, x, eta) - math.pi * np.asarray(twice_I, dtype=float)
+    if anti:
+        F = F + eta * x
+    return F - theta_m(2, x[:, None] - x[None, :], eta).sum(axis=1)
+
+
+def _dense_jacobian(x, eta, N, anti):
+    """Dense log-BAE Jacobian from kernel_a, pair by pair."""
+    J = 2.0 * math.pi * kernel_a(2, x[:, None] - x[None, :], eta)
+    np.fill_diagonal(J, 0.0)
+    diag = 2.0 * math.pi * N * kernel_a(1, x, eta) - J.sum(axis=1)
+    if anti:
+        diag = diag + eta
+    np.fill_diagonal(J, diag)
+    return J
+
+
+# per eta, one N on each side of the 2K+1 < M rule: (pairwise, Fourier modes)
+ORACLE_SIZES = {0.3: (40, 400), 0.8: (30, 200), 1.0: (30, 200), 2.0: (12, 100),
+                3.0: (12, 100), 20.0: (6, 40)}
+
+
+@pytest.mark.parametrize("boundary", ["anti", "per"])
+@pytest.mark.parametrize("eta", sorted(ORACLE_SIZES))
+def test_interaction_sums_match_pairwise_oracle(eta, boundary):
+    rng = np.random.default_rng(7)
+    anti = Boundary.coerce(boundary) is Boundary.ANTIPERIODIC
+    for N, on_modes in zip(ORACLE_SIZES[eta], (False, True)):
+        qn = ground_quantum_numbers(N, boundary)
+        roots = solve_log_baes(eta, N, qn)
+        K = baes._mode_count(eta, qn.M, N)
+        assert roots.modes == K and (K > 0) == on_modes, (N, K)
+        tol = 4 * np.finfo(float).eps * 2.0 * math.pi * (N + qn.M)
+        for x in (roots.x, roots.x + 1e-3 * rng.uniform(-1.0, 1.0, qn.M)):
+            F = _pairwise_residual(x, eta, N, qn.twice_I, anti)
+            got = baes._log_bae_residual(x, eta, N, qn.twice_I, anti, K)
+            assert np.max(np.abs(got - F)) <= tol
+            step = baes._newton_step(x, F, eta, N, anti, K)
+            want = np.linalg.solve(_dense_jacobian(x, eta, N, anti), -F)
+            assert np.linalg.norm(step - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_periodic_roots_match_ed():
@@ -138,6 +184,20 @@ def test_solver_stops_at_float_resolution():
                 + thermo.hole_quantization_energy(N, eta, Boundary.ANTIPERIODIC))
     assert abs(energy_hom(roots) - expected) < 1e-5
     assert roots.residual < 1e-9
+
+
+def test_ground_states_at_ten_thousand_sites():
+    # all four ground states, on the Fourier-mode path, against the
+    # thermodynamic table plus the hole term at criterion 6's 1e-5
+    for eta in (2.0, 1.0):
+        for N in (10000, 10001):
+            for boundary in (Boundary.ANTIPERIODIC, Boundary.PERIODIC):
+                roots = solve_log_baes(eta, N, ground_quantum_numbers(N, boundary))
+                expected = (thermo.ground_energy_tl(N, eta, boundary)
+                            + thermo.hole_quantization_energy(N, eta, boundary))
+                assert roots.modes > 0
+                assert abs(energy_hom(roots) - expected) < 1e-5, (eta, N, boundary)
+                assert roots.residual < 1e-9
 
 
 def test_solver_convergence_error_carries_iterate():

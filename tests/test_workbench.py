@@ -97,6 +97,15 @@ def test_corrupt_cache_recomputed(tmp_path):
     assert json.loads(path.read_text())["outputs"] == rec.outputs
 
 
+def test_solve_hom_records_mode_count(tmp_path):
+    # 0 on the pairwise path (small M), the Fourier-mode count K above it
+    records = run(_cfg(tmp_path, experiment="SolveHom", N_list=[8, 400]))
+    small, large = (r.outputs for r in records)
+    assert small["modes"] == 0
+    assert large["modes"] == 9
+    assert small["iterations"] >= 1 and large["residual"] < 1e-9
+
+
 def test_point_error_does_not_abort_sweep(tmp_path):
     cfg = _cfg(tmp_path, experiment="EinhScan", N_list=[4, 22])
     records = run(cfg)
