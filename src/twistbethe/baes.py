@@ -348,6 +348,34 @@ def hole_rapidity(roots: BetheRootsX, twice_I_hole: int) -> float:
     return float(scipy.optimize.brentq(f, lo, hi, xtol=1e-14))
 
 
+def _decoupled_roots(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.ndarray:
+    """Roots of the decoupled equations g(x) = N theta_1(x) [+ eta x] =
+    pi 2I in the window |x| <= pi/eta, where g rises from -pi (N [+ 1])
+    to pi (N [+ 1]) with g' = 2 pi N a_1(x) [+ eta] > 0.
+
+    Newton from the chord through the window's ends, each root kept in a
+    bracket that every evaluation narrows; a step that leaves the bracket
+    is replaced by its midpoint.  Stops after a step in which no root
+    moved by more than 1e-9 of the window's half-width: Newton's
+    quadratic convergence leaves that iterate at float resolution."""
+    target = math.pi * twice_I
+    edge = math.pi / eta
+    lo, hi = np.full(len(target), -edge), np.full(len(target), edge)
+    x = twice_I / (N + 1 if anti else N) * edge
+    for _ in range(100):
+        g = N * theta_m(1, x, eta) + (eta * x if anti else 0.0) - target
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g < 0, hi, x)
+        dg = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
+        xn = x - g / dg
+        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
+        moved = np.max(np.abs(xn - x))
+        x = xn
+        if moved <= 1e-9 * edge:
+            break
+    return x
+
+
 def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
                    settings: SolverSettings = DEFAULT_SETTINGS,
                    x0: np.ndarray | None = None) -> BetheRootsX:
@@ -355,12 +383,12 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
 
         [eta x_j] + N theta_1(x_j) = 2 pi I_j + sum_k theta_2(x_j - x_k)
 
-    (the eta x_j drift only on the twisted chain).  Initial guess:
-    decoupled single-root bisection, sharpened by frozen-interaction
-    scalar sweeps.  Newton stops at settings.tol or at 4 ulp of the
-    equations' terms, about 2 pi (N + M), whichever is larger: past
-    N ~ 1000 an absolute 1e-12 is below float64 resolution.  Errors carry
-    the last iterate.
+    (the eta x_j drift only on the twisted chain).  Initial guess: the
+    decoupled single-root equations solved by safeguarded Newton
+    (`_decoupled_roots`), sharpened by frozen-interaction scalar sweeps.
+    Newton stops at settings.tol or at 4 ulp of the equations' terms,
+    about 2 pi (N + M), whichever is larger: past N ~ 1000 an absolute
+    1e-12 is below float64 resolution.  Errors carry the last iterate.
 
     The interaction sums run over K Fourier modes of theta_2, K from
     `_mode_count(eta, M, N)`, when 2K+1 < M: a residual then costs
@@ -383,16 +411,7 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
         if x.shape != (M,):
             raise ValueError("x0 must have one entry per root")
     else:
-        # decoupled equations: [eta x] + N theta_1(x) = 2 pi I, bisection
-        target = math.pi * twice_I
-        lo = np.full(M, -math.pi / eta)
-        hi = np.full(M, math.pi / eta)
-        for _ in range(90):
-            mid = 0.5 * (lo + hi)
-            g = N * theta_m(1, mid, eta) + (eta * mid if anti else 0.0)
-            lo = np.where(g < target, mid, lo)
-            hi = np.where(g < target, hi, mid)
-        x = 0.5 * (lo + hi)
+        x = _decoupled_roots(eta, N, twice_I, anti)
         for _ in range(settings.jacobi_sweeps):
             F = _log_bae_residual(x, eta, N, twice_I, anti, K)
             diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)

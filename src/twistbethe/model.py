@@ -18,8 +18,12 @@ H and H2 commute with the parity P = prod sigma^z on both boundaries, and
 are held as their two P blocks, each on 2^(N-1) basis states; no 2^N CSR
 matrix is built for them.  ED solves the blocks one at a time: dense eigh
 up to DENSE_SECTOR_MAX states per block, ARPACK above, which carries the
-spectrum to N = 20.  A dense 2^N matrix is derived on demand only for
-N <= 12, a size chosen for 5 GB class hardware.
+spectrum to N = 20.  Where a basis permutation commutes with the operator
+and flips P (t(0) on the twisted chain; the global spin flip for H on the
+periodic chain at odd N) the odd block is the even one re-indexed: only
+the even block is built and solved, and its levels count twice.  A dense
+2^N matrix is derived on demand only for N <= 12, a size chosen for 5 GB
+class hardware.
 """
 
 from __future__ import annotations
@@ -107,15 +111,31 @@ class ChainOperator:
 
 class _ParityBlocks:
     """Operator commuting with P = prod sigma^z, held as its two blocks:
-    `blocks[p]` is a CSR matrix on the basis states `states[p]` (ascending),
+    `block(p)` is a CSR matrix on the basis states `states[p]` (ascending),
     those with an even (p = 0, P = +1) or odd (p = 1) number of down spins.
-    Applied and densified by scattering through `states`."""
+    Applied and densified by scattering through `states`.
 
-    def __init__(self, blocks, states):
-        self.blocks, self.states = blocks, states
-        dim = 2 * blocks[0].shape[0]
+    `mirror`, when given, is a basis permutation, (M v)[i] = v[mirror[i]],
+    that commutes with the operator and maps each sector onto the other,
+    so the odd block is the even block re-indexed.  Then only the even
+    block is built up front; the odd one is built by `build(1)` when
+    first asked for (full-space application or `toarray`)."""
+
+    def __init__(self, build, states, mirror=None):
+        self._build, self.states, self.mirror = build, states, mirror
+        self._blocks = [build(0), None if mirror is not None else build(1)]
+        dim = 2 * len(states[0])
         self.shape = (dim, dim)
-        self.dtype = blocks[0].dtype
+        self.dtype = self._blocks[0].dtype
+
+    def block(self, p):
+        if self._blocks[p] is None:
+            self._blocks[p] = self._build(p)
+        return self._blocks[p]
+
+    @property
+    def blocks(self):
+        return self.block(0), self.block(1)
 
     def __matmul__(self, v):
         out = np.empty(v.shape, dtype=np.result_type(self.dtype, v.dtype))
@@ -130,7 +150,7 @@ class _ParityBlocks:
         return out
 
 
-def _pauli_csr(N: int, terms) -> _ParityBlocks:
+def _pauli_csr(N: int, terms, mirror=None) -> _ParityBlocks:
     """Sum of Pauli strings as its two parity blocks, CSR with int32 indices.
 
     Each term is (coeff, ((site, "X"|"Y"|"Z"), ...)) with 1-based, distinct
@@ -139,8 +159,9 @@ def _pauli_csr(N: int, terms) -> _ParityBlocks:
     bits, with amplitude coeff * i^(number of Y) * (-1)^(number of set bits
     of s under Y and Z).  Strings sharing a flip pattern are summed in the
     order given and zero amplitudes dropped.  The blocks are real when
-    every coeff * i^(number of Y) is."""
-    dim, half = 1 << N, 1 << (N - 1)
+    every coeff * i^(number of Y) is.  `mirror` is passed on to
+    `_ParityBlocks`, and defers the odd block."""
+    half = 1 << (N - 1)
     by_flip = {}
     for coeff, ops in terms:
         flip = signs = 0
@@ -158,46 +179,45 @@ def _pauli_csr(N: int, terms) -> _ParityBlocks:
         by_flip.setdefault(flip, []).append((factor, signs))
     real = all(f.imag == 0 for strings in by_flip.values() for f, _ in strings)
     dtype = np.float64 if real else np.complex128
-    # the even sector's states, then the odd sector's, and each state's rank
-    # within its own sector, which is its column index in the block
-    states = np.arange(dim, dtype=np.int32)
-    rows = np.argsort(np.bitwise_count(states) & 1, kind="stable").astype(np.int32)
-    rank = np.empty(dim, dtype=np.int32)
-    rank[rows] = states & (half - 1)
+    # of the states 2m and 2m+1 exactly one lies in each sector, so a
+    # sector's m-th state is 2m plus a parity bit, and m = state >> 1 is its
+    # rank within the sector, which is its column index in the block
+    m = np.arange(half, dtype=np.int32)
+    states = tuple((m << 1) | ((np.bitwise_count(m) & 1) ^ p) for p in (0, 1))
 
-    def amplitudes(flip, strings):
-        # the state each row connects to for this flip, and the amplitudes
-        cols = rows ^ np.int32(flip)
-        amp = np.zeros(dim, dtype=dtype)
-        for factor, signs in strings:
-            sign = 1.0 - 2.0 * (np.bitwise_count(cols & signs) & 1)
-            amp += (factor.real if real else factor) * sign
-        return cols, amp
+    def build(p):
+        rows = states[p]
 
-    # two passes, count then fill, so that only the final arrays are
-    # allocated; both blocks share them, the even block's rows first
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    for flip, strings in by_flip.items():
-        indptr[1:] += amplitudes(flip, strings)[1] != 0
-    np.cumsum(indptr, out=indptr)
-    fill = indptr[:-1].copy()
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    data = np.empty(indptr[-1], dtype=dtype)
-    for flip, strings in by_flip.items():
-        cols, amp = amplitudes(flip, strings)
-        nz = np.flatnonzero(amp)
-        at = fill[nz]
-        indices[at] = rank[cols[nz]]
-        data[at] = amp[nz]
-        fill[nz] += 1
-    split = indptr[half]
-    blocks = (sp.csr_matrix((data[:split], indices[:split], indptr[:half + 1]),
-                            shape=(half, half)),
-              sp.csr_matrix((data[split:], indices[split:], indptr[half:] - split),
-                            shape=(half, half)))
-    for block in blocks:
+        def amplitudes(flip, strings):
+            # the state each row connects to for this flip, and the amplitudes
+            cols = rows ^ np.int32(flip)
+            amp = np.zeros(half, dtype=dtype)
+            for factor, signs in strings:
+                sign = 1.0 - 2.0 * (np.bitwise_count(cols & signs) & 1)
+                amp += (factor.real if real else factor) * sign
+            return cols, amp
+
+        # two passes, count then fill, so that only the final arrays are
+        # allocated
+        indptr = np.zeros(half + 1, dtype=np.int32)
+        for flip, strings in by_flip.items():
+            indptr[1:] += amplitudes(flip, strings)[1] != 0
+        np.cumsum(indptr, out=indptr)
+        fill = indptr[:-1].copy()
+        indices = np.empty(indptr[-1], dtype=np.int32)
+        data = np.empty(indptr[-1], dtype=dtype)
+        for flip, strings in by_flip.items():
+            cols, amp = amplitudes(flip, strings)
+            nz = np.flatnonzero(amp)
+            at = fill[nz]
+            indices[at] = cols[nz] >> 1
+            data[at] = amp[nz]
+            fill[nz] += 1
+        block = sp.csr_matrix((data, indices, indptr), shape=(half, half))
         block.sort_indices()
-    return _ParityBlocks(blocks, (rows[:half], rows[half:]))
+        return block
+
+    return _ParityBlocks(build, states, mirror)
 
 
 def _bonds(params: ModelParams):
@@ -214,13 +234,21 @@ def build_hamiltonian(params: ModelParams) -> ChainOperator:
     two parity blocks; the dense matrix is derived on demand for N <= 12."""
     if any(params.theta):
         raise ValueError("the Hamiltonian is defined at zero inhomogeneities")
-    ch = math.cosh(params.eta)
+    N, ch = params.N, math.cosh(params.eta)
     terms = []
     for j, k, twisted in _bonds(params):
         sign = -1.0 if twisted else 1.0
         terms += [(1.0, ((j, "X"), (k, "X"))), (sign, ((j, "Y"), (k, "Y"))),
                   (sign * ch, ((j, "Z"), (k, "Z")))]
-    return ChainOperator(params.N, _pauli_csr(params.N, terms), hermitian=True)
+    # t(0) on the twisted chain and, at odd N, the global spin flip on the
+    # periodic one commute with H and flip P
+    if params.boundary is Boundary.ANTIPERIODIC:
+        mirror = _rotation_index(N)
+    elif N % 2:
+        mirror = np.arange(1 << N, dtype=np.int32) ^ np.int32((1 << N) - 1)
+    else:
+        mirror = None
+    return ChainOperator(N, _pauli_csr(N, terms, mirror), hermitian=True)
 
 
 def _rotation_index(N: int) -> np.ndarray:
@@ -276,7 +304,7 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
                     coeff = coeff if pauli == "X" else -coeff
                 ops.append((site, pauli))
             terms.append((coeff, tuple(ops)))
-    return ChainOperator(N, _pauli_csr(N, terms), hermitian=True)
+    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index(N)), hermitian=True)
 
 
 class _TransferContraction:
@@ -349,35 +377,47 @@ def _cluster(vals: np.ndarray, tol: float = DEGENERACY_TOL) -> list[int]:
 
 
 def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None):
-    """Lowest min(count, block dim) eigenpairs of each parity block of a
-    Hermitian operator, as (states, values, block vectors) per block, and
-    the solver that ran: "dense" (scipy eigh) for blocks of at most
-    DENSE_SECTOR_MAX states, where ARPACK cannot run (k >= dim - 1) or when
-    forced, "iterative" (ARPACK through `matvec`) otherwise.  Both blocks
-    have the same dimension, so both take the same solver."""
+    """Lowest eigenpairs of a Hermitian operator by parity sector, as
+    (states, values, block vectors) per sector, and the solver that ran:
+    "dense" (scipy eigh) for blocks of at most DENSE_SECTOR_MAX states,
+    where ARPACK cannot run (k >= dim - 1) or when forced, "iterative"
+    (ARPACK through `matvec`) otherwise.
+
+    Without a mirror each block is solved for its lowest min(count, block
+    dim) pairs.  With one, only the even block is solved, for
+    min(ceil(count / 2), block dim) pairs, and the odd sector takes the
+    same values with the mirrored vectors: full-space v becomes v[mirror],
+    which puts the block vector on the states inverse_mirror[states[0]]."""
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown ED method: {method!r}")
     if method == "dense" and op.n_sites > DENSE_MAX:
         raise ValueError("no dense realization available")
+    blocks, mirror = op._op, op._op.mirror
+    dim = len(blocks.states[0])
+    k = min(count if mirror is None else -(-count // 2), dim)
+    dense = (k >= dim - 1 or method == "dense"
+             or (method is None and dim <= DENSE_SECTOR_MAX))
     parts = []
-    for block, states in zip(op._op.blocks, op._op.states):
-        dim = block.shape[0]
-        k = min(count, dim)
-        if k >= dim - 1 or method == "dense" or (method is None and dim <= DENSE_SECTOR_MAX):
-            kind = "dense"
+    for p in (0,) if mirror is not None else (0, 1):
+        block = blocks.block(p)
+        if dense:
             # a private Fortran-ordered matrix that eigh overwrites in place
             subset = (0, k - 1) if k < dim else None
             vals, vecs = scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
                                            overwrite_a=True)
         else:
-            kind = "iterative"
             v0 = np.random.default_rng(seed).standard_normal(dim)
             block_op = ChainOperator(op.n_sites, block, hermitian=True)
             vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
-        parts.append((states, vals, vecs))
-    return parts, kind
+        parts.append((blocks.states[p], vals, vecs))
+    if mirror is not None:
+        inverse = np.empty_like(mirror)
+        inverse[mirror] = np.arange(len(mirror), dtype=mirror.dtype)
+        states, vals, vecs = parts[0]
+        parts.append((inverse[states], vals, vecs))
+    return parts, "dense" if dense else "iterative"
 
 
 def _full_vectors(dim: int, parts) -> np.ndarray:
@@ -400,10 +440,14 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
     Each parity block gives its lowest min(count, block dim) levels, by
     dense eigh up to DENSE_SECTOR_MAX states and ARPACK above (`method`
     forces "dense" or "iterative"; ARPACK falls back to eigh where it
-    cannot run); the levels are merged and sorted.  The ARPACK start
-    vector is derived from `seed` so repeated runs are identical.  With
-    `return_vectors`, the eigenvectors come as full-space columns, each of
-    definite parity.
+    cannot run); the levels are merged and sorted.  Where a parity-flipping
+    symmetry mirrors one block onto the other (t(0) on the twisted chain,
+    the global spin flip on the periodic chain at odd N) only the even
+    block is solved, for its lowest ceil(count / 2) levels, and each level
+    is listed twice; the periodic chain at even N solves both blocks.  The
+    ARPACK start vector is derived from `seed` so repeated runs are
+    identical.  With `return_vectors`, the eigenvectors come as full-space
+    columns, each of definite parity.
     """
     if not op.hermitian:
         raise ValueError("ed_spectrum needs a Hermitian operator")
@@ -436,22 +480,18 @@ def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
     """Ground doublet with the t(0) branch resolved.
 
     The twisted-chain ground level is exactly doubly degenerate: t(0)
-    anticommutes with P, so each parity block holds one member, and the
-    basis is the lowest state of each block.  The pair is split by
-    diagonalizing the 2x2 block of t(0), whose eigenvalues are +-i (even
-    N) or +-1 (odd N).
+    commutes with H and flips P, so it maps the even block's lowest state
+    v to the odd block's, v[src], and the basis is [v, v[src]].  The pair
+    is split by diagonalizing the 2x2 block of t(0), whose eigenvalues are
+    +-i (even N) or +-1 (odd N).
     """
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("ground_space resolves the twisted-chain doublet")
     H = build_hamiltonian(params)
     parts, _ = _sector_eigs(H, 1, seed=seed, method=None)
-    (_, e_even, _), (_, e_odd, _) = parts
-    if abs(e_even[0] - e_odd[0]) >= DEGENERACY_TOL:
-        raise RuntimeError(
-            f"parity sectors' ground energies differ: {e_even[0]!r}, {e_odd[0]!r}")
     V = _full_vectors(params.dim, parts)
     w, s = np.linalg.eig(doublet_block(build_momentum_charge(params), V))
-    return GroundSpace(energy=float(min(e_even[0], e_odd[0])), vectors=V,
+    return GroundSpace(energy=float(parts[0][1][0]), vectors=V,
                        t0_eigenvalues=w, t0_vectors=V @ s)
 
 

@@ -186,6 +186,24 @@ def test_solver_stops_at_float_resolution():
     assert roots.residual < 1e-9
 
 
+@pytest.mark.parametrize("eta", [0.05, 0.3, 1.0, 2.0, 20.0])
+def test_decoupled_guess_matches_bisection(eta):
+    # the safeguarded Newton of the initial guess lands where bisection of
+    # the monotone decoupled equation does, to 4 ulp of the window edge
+    edge = math.pi / eta
+    for N in (3, 60, 1600):
+        for boundary in (Boundary.ANTIPERIODIC, Boundary.PERIODIC):
+            anti = boundary is Boundary.ANTIPERIODIC
+            twice_I = np.asarray(ground_quantum_numbers(N, boundary).twice_I, dtype=float)
+            lo, hi = np.full(len(twice_I), -edge), np.full(len(twice_I), edge)
+            for _ in range(90):
+                mid = 0.5 * (lo + hi)
+                below = N * theta_m(1, mid, eta) + (eta * mid if anti else 0.0) < math.pi * twice_I
+                lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+            x = baes._decoupled_roots(eta, N, twice_I, anti)
+            assert np.max(np.abs(x - 0.5 * (lo + hi))) <= 4 * np.finfo(float).eps * edge
+
+
 def test_ground_states_at_ten_thousand_sites():
     # all four ground states, on the Fourier-mode path, against the
     # thermodynamic table plus the hole term at criterion 6's 1e-5

@@ -100,7 +100,8 @@ def test_transfer_matrix_matches_kron_oracle():
 
 
 def test_operators_are_int32_csr():
-    # t(0) is one CSR matrix; H and H2 are two parity blocks, each CSR
+    # t(0) is one CSR matrix; H and H2 are two parity blocks, each CSR (the
+    # odd block of these mirrored operators is built here, on demand)
     params = ModelParams(6, ETA, "anti")
     matrices = [build_momentum_charge(params)._op]
     for op in (build_hamiltonian(params), build_h2_charge(params)):
@@ -144,7 +145,7 @@ def _oracle_levels(N, twisted):
 
 
 @pytest.mark.parametrize("method", [None, "dense", "iterative"])
-@pytest.mark.parametrize("count", [1, 2, 6])
+@pytest.mark.parametrize("count", [1, 2, 5, 6])
 @pytest.mark.parametrize("boundary", ["anti", "per"])
 @pytest.mark.parametrize("N", range(2, DENSE_MAX + 1))
 def test_sector_ed_matches_kron_oracle(N, boundary, count, method):
@@ -161,11 +162,31 @@ def test_sector_ed_matches_kron_oracle(N, boundary, count, method):
         assert spec.method == ("dense" if half <= DENSE_SECTOR_MAX else "iterative")
     for lam, v in zip(spec.eigenvalues, vecs.T):
         assert np.linalg.norm(H.matvec(v) - lam * v) < 1e-9
-    if boundary == "anti" and count == 6:
-        # t(0) anticommutes with P and maps one block onto the other
-        parts, _ = model._sector_eigs(H, count, seed=0, method=method)
-        (_, even, _), (_, odd, _) = parts
-        assert np.max(np.abs(even - odd)) < 1e-10
+
+
+def _mirrored_even_block(blocks):
+    # the odd block's entry (a, b) mirrored: the operator at mirror[odd_a],
+    # mirror[odd_b], two even states whose ranks are their indices >> 1
+    perm = blocks.mirror[blocks.states[1]] >> 1
+    return blocks.block(0)[perm][:, perm]
+
+
+@pytest.mark.parametrize("N", range(2, DENSE_MAX + 1))
+def test_parity_mirror_maps_even_block_onto_odd(N):
+    # ED solves only the even block where a mirror exists; the directly
+    # built odd block must be that block re-indexed
+    ops = [build_hamiltonian(ModelParams(N, ETA, "anti"))]
+    if N >= 3:
+        ops.append(build_h2_charge(ModelParams(N, 1.3, "anti")))
+    periodic = build_hamiltonian(ModelParams(N, ETA, "per"))
+    if N % 2:
+        ops.append(periodic)
+    else:
+        assert periodic._op.mirror is None
+    for op in ops:
+        blocks = op._op
+        diff = blocks.block(1) - _mirrored_even_block(blocks)
+        assert abs(diff).max() <= 1e-14
 
 
 def test_spectrum_contract():
@@ -310,3 +331,13 @@ def test_dense_threshold_respected():
         ed_spectrum(H, 1, method="dense")
     assert transfer_matrix(0.0, params).dense is None
     assert build_h2_charge(params).dense is None
+
+
+def test_mirrored_ed_leaves_odd_block_unbuilt():
+    # the twisted chain's odd block is the even one mirrored by t(0), so
+    # building H and solving it builds the even block alone
+    H = build_hamiltonian(ModelParams(14, ETA, "anti"))
+    assert H._op._blocks[1] is None
+    spec = ed_spectrum(H, 1)
+    assert spec.method == "iterative"
+    assert H._op._blocks[1] is None
