@@ -2,7 +2,8 @@
 (antiperiodic) and periodic closure.
 
 Submodules:
-    model     spin-chain operators on the full 2^N space and exact diagonalization
+    model     spin-chain operators (bit-rule parity blocks, matrix-free t(u)) and
+              exact diagonalization in the parity sectors
     baes      Bethe-ansatz root finding (reduced log form and inhomogeneous T-Q form)
     thermo    thermodynamic-limit series (energy density, hole energy, boundary energy, gap)
     scaling   finite-size scaling-law fits and extrapolation

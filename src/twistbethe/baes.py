@@ -42,8 +42,8 @@ from .model import ModelParams
 class SolverSettings:
     """Newton controls shared by both solvers.
 
-    damping scales the first Newton step; the line search halves from
-    there.  jacobi_sweeps are frozen-interaction scalar prepasses between
+    Each Newton step is tried in full first, and the line search halves it
+    from there.  jacobi_sweeps are frozen-interaction scalar prepasses between
     the decoupled initial guess and the full Newton iteration; each costs
     one residual evaluation, as much as one line-search trial (O(M K) on
     the Fourier-mode path, O(M^2) pairwise), and together they make
@@ -53,7 +53,6 @@ class SolverSettings:
 
     tol: float = 1e-12
     max_iter: int = 200
-    damping: float = 1.0
     jacobi_sweeps: int = 8
 
     def __post_init__(self):
@@ -418,7 +417,6 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
             x = x - F / diag
 
     tol = max(settings.tol, 4 * np.finfo(float).eps * 2.0 * math.pi * (N + M))
-    scale = settings.damping
     F = _log_bae_residual(x, eta, N, twice_I, anti, K)
     best = np.max(np.abs(F))
     for it in range(1, settings.max_iter + 1):
@@ -435,7 +433,7 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}", iterate=x,
                                    residual=best) from exc
-        lam = scale
+        lam = 1.0
         while lam > 1e-8:
             xn = x + lam * step
             Fn = _log_bae_residual(xn, eta, N, twice_I, anti, K)
@@ -455,16 +453,13 @@ def _fold_window(x, eta):
     return x - period * np.ceil((x - math.pi / eta) / period - 1e-15)
 
 
-def energy_hom(roots: BetheRootsX, N: int | None = None, boundary=None) -> float:
+def energy_hom(roots: BetheRootsX) -> float:
     """E = -4 sinh(eta) sum_j sinh(eta)/(cosh(eta) - cos(eta x_j)) + N cosh(eta),
     plus the 2 sinh(eta) shift carried by the twisted chain."""
-    if N is None:
-        N = roots.qn.N
-    boundary = Boundary.coerce(boundary) if boundary is not None else roots.qn.boundary
     eta, sh = roots.eta, math.sinh(roots.eta)
     s = float(np.sum(sh / (math.cosh(eta) - np.cos(eta * roots.x))))
-    e = -4.0 * sh * s + N * math.cosh(eta)
-    if boundary is Boundary.ANTIPERIODIC:
+    e = -4.0 * sh * s + roots.qn.N * math.cosh(eta)
+    if roots.qn.boundary is Boundary.ANTIPERIODIC:
         e += 2.0 * sh
     return e
 
@@ -487,13 +482,6 @@ class InhomBetheRoots:
     @property
     def root_sum(self) -> complex:
         return complex(np.sum(self.lam))
-
-
-def _q_poly(lam: np.ndarray):
-    """Monic q(z) coefficients (ascending) for z = e^{2u}, w_j = e^{2 lam_j}."""
-    w = np.exp(2.0 * lam)
-    c = np.poly(w)[::-1]          # ascending, c[N] = 1
-    return c, w
 
 
 def _bae_terms(lam: np.ndarray, N: int, eta: float):
@@ -576,7 +564,7 @@ def _fit_q_linear(P_vals: np.ndarray, zs: np.ndarray, N: int, eta: float):
     return c, fit_res
 
 
-def solve_inhom_baes(params: ModelParams, target: str = "ground",
+def solve_inhom_baes(params: ModelParams,
                      settings: SolverSettings = DEFAULT_SETTINGS) -> InhomBetheRoots:
     """ED-seeded solution of the inhomogeneous equations for the twisted
     chain's ground state.
@@ -588,8 +576,6 @@ def solve_inhom_baes(params: ModelParams, target: str = "ground",
     (4) polish with damped Newton on the equations themselves."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("the inhomogeneous equations describe the twisted chain")
-    if target != "ground":
-        raise ValueError("only the ground state is supported")
     if any(params.theta):
         raise ValueError("inhomogeneities must be zero")
     N, eta = params.N, params.eta
@@ -719,7 +705,7 @@ def charge_from_roots(order: str, roots) -> complex:
     A symmetric reduced set cancels in exact arithmetic and is returned as
     an exact 0 (or exact i pi for momentum when x = 0 is occupied)."""
     key = str(order).strip().lower()
-    if key in ("momentum", "p", "e0"):
+    if key in ("momentum", "p"):
         is_momentum = True
     elif key in ("h2", "chargeh2"):
         is_momentum = False
@@ -776,6 +762,11 @@ def inhom_contribution(N: int, eta: float, observable: str,
     ground-state value vanishes; even N returns the reduced value against
     the ED doublet expectation, odd N is exactly 0 by root-set symmetry."""
     key = str(observable).strip().lower()
+    if key not in ("energy", "momentum", "p", "h2", "chargeh2"):
+        raise ValueError(f"unknown observable: {observable!r}")
+    needs_ed = key == "energy" or (key in ("h2", "chargeh2") and N % 2 == 0)
+    if needs_ed and N > _model.ITERATIVE_MAX:
+        raise ValueError("exact value needs ED; N <= 20")
     boundary = Boundary.ANTIPERIODIC
     qn = ground_quantum_numbers(N, boundary)
     roots = solve_log_baes(eta, N, qn, settings)
@@ -783,8 +774,6 @@ def inhom_contribution(N: int, eta: float, observable: str,
     if key == "energy":
         e_hom = energy_hom(roots)
         params = ModelParams(N, eta, boundary)
-        if N > _model.ITERATIVE_MAX:
-            raise ValueError("exact value needs ED; N <= 20")
         H = _model.build_hamiltonian(params)
         spec = _model.ed_spectrum(H, 1, seed=seed)
         return float(e_hom - spec.eigenvalues[0])
@@ -796,15 +785,12 @@ def inhom_contribution(N: int, eta: float, observable: str,
         exact = complex(0.0, math.copysign(math.pi / 2.0, p.imag))
         return complex(p - exact)
 
-    if key in ("h2", "chargeh2"):
-        if N % 2 == 1:
-            return 0.0            # exact by symmetric-root cancellation
-        h2_hom = charge_from_roots("h2", roots)
-        params = ModelParams(N, eta, boundary)
-        gs = _model.ground_space(params, seed=seed)
-        vplus = gs.branch_vector(1.0j)
-        H2 = _model.build_h2_charge(params)
-        h2_ed = np.vdot(vplus, H2.matvec(vplus))
-        return float(h2_hom.real - h2_ed.real)
-
-    raise ValueError(f"unknown observable: {observable!r}")
+    if N % 2 == 1:                # H2
+        return 0.0                # exact by symmetric-root cancellation
+    h2_hom = charge_from_roots("h2", roots)
+    params = ModelParams(N, eta, boundary)
+    gs = _model.ground_space(params, seed=seed)
+    vplus = gs.branch_vector(1.0j)
+    H2 = _model.build_h2_charge(params)
+    h2_ed = np.vdot(vplus, H2.matvec(vplus))
+    return float(h2_hom.real - h2_ed.real)

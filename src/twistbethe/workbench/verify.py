@@ -1,13 +1,14 @@
-"""Self-check suites: fast (small N, seconds) and full (dense + iterative).
+"""Self checks: one function per checked claim, run by ``verify`` at two
+levels and by the acceptance suite (``tests/test_acceptance.py``).
 
-Each check is a named function returning a detail string on success and
-raising AssertionError (or any exception) on failure.  ``verify`` runs
-the selected level's checks, reports one line per check, and the CLI maps
-any failure to a nonzero exit code.
-
-The large-N consistency check deliberately goes through the ``thermo``
-module attribute at call time, so a perturbed series is picked up rather
-than a stale reference.
+Each ``check_*`` function takes the sizes it samples (N lists, eta lists)
+and returns a `Measured`: the worst deviation under each label, judged
+against that label's bound, a constant beside the check.  ``verify`` runs
+the ``fast`` (N <= 8, dense ED on the parity blocks) or ``full`` (larger
+N, ARPACK on the parity blocks, N ~ 200 roots) arguments and reports one
+line per check; the CLI maps any failure to a nonzero exit code.  Checks
+reach the program through its module attributes at call time, so a
+perturbed function is picked up rather than a stale reference.
 """
 
 from __future__ import annotations
@@ -27,9 +28,52 @@ from .config import ExperimentConfig
 from .emit import emit, parse_csv
 from .runner import flatten_record, run
 
-__all__ = ["CheckResult", "VerifyReport", "verify"]
+__all__ = ["CheckResult", "Measured", "VerifyReport", "verify"]
 
 _ETA = 2.0
+_ANTI, _PER = Boundary.ANTIPERIODIC, Boundary.PERIODIC
+
+
+def _ed_ground(params) -> float:
+    return model.ed_spectrum(model.build_hamiltonian(params), 1).eigenvalues[0]
+
+
+def _within(dev: float, bound: float) -> bool:
+    return dev < bound if bound else dev == 0
+
+
+class Measured:
+    """Worst deviation per label, and where it was seen, each judged against
+    the label's bound.
+
+    A bound of 0 asks for exactly zero (an exact value, a count of broken
+    conditions, a distance outside a band); any other bound is strict.
+    NaN never passes.  ``notes`` carry measured values that have no bound.
+    """
+
+    def __init__(self, bounds: dict):
+        self.bounds = bounds
+        self.worst: dict = {}   # label -> (deviation, where)
+        self.notes: list = []
+
+    def add(self, label: str, value, at: str = "") -> None:
+        old = self.worst.get(label, (-math.inf,))[0]
+        if value > old or value != value:   # a NaN, once seen, stays
+            self.worst[label] = (float(value), at)
+
+    @property
+    def ok(self) -> bool:
+        return all(_within(dev, self.bounds[label]) for label, (dev, _) in self.worst.items())
+
+    def summary(self) -> str:
+        parts = []
+        for label, (dev, at) in self.worst.items():
+            bound = self.bounds[label]
+            text = f"{label} {dev:.1e}" if bound else f"{label} {dev:g}"
+            if not _within(dev, bound):
+                text += f"{' at ' + at if at else ''} over bound {bound:g}"
+            parts.append(text)
+        return ", ".join(parts + self.notes)
 
 
 @dataclass
@@ -65,258 +109,313 @@ class VerifyReport:
 
 
 # ---------------------------------------------------------------------------
-# individual checks
+# checks
 
 
-def _check_thermo_identities() -> str:
-    worst = 0.0
-    for eta in (1.0, 2.0, 3.0):
-        e_b = thermo.twisted_boundary_energy(eta, Parity.EVEN)
+# E_b/cosh(eta) and gap/cosh(eta) as tabulated in the paper
+PAPER_TABLE = {2.0: (1.02746, 2.05492), 3.0: (1.61356, 3.22712)}
+ISOTROPIC_ETA = 1e-3
+THERMO_BOUNDS = {
+    "band-edge identities": 1e-13,
+    "even-parity gap": 0,
+    "boundary energy vs table": 1e-5,
+    "gap vs table": 1e-5,
+    "isotropic e0": 2e-3,
+    "hole energy not falling": 0,
+    "band-edge hole at last eta": 1e-3,
+}
+
+
+def check_thermo_series(etas=(), boundary_etas=(), gap_etas=(),
+                        isotropic_etas=()) -> Measured:
+    """The thermodynamic series' identities and the paper's numbers.
+
+    etas: the band-edge hole energy equals the twisted boundary energy and
+    half the odd-parity gap, and the even-parity gap is exactly 0.
+    boundary_etas, gap_etas: E_b/cosh(eta) and gap/cosh(eta) against
+    PAPER_TABLE.  isotropic_etas, a run of eta falling toward the isotropic
+    point: the band-edge hole energy falls along it and vanishes at its
+    last entry, and e0/cosh(eta) at ISOTROPIC_ETA meets 1 - 4 ln 2."""
+    m = Measured(THERMO_BOUNDS)
+    for eta in etas:
         e_edge = thermo.hole_energy(math.pi / eta, eta)
-        gap = thermo.excitation_gap_tl(eta, Parity.ODD)
-        worst = max(worst, abs(e_b - e_edge), abs(gap - 2 * e_edge))
-        assert abs(e_b - e_edge) < 1e-13, f"band-edge hole vs boundary energy, eta={eta}"
-        assert abs(gap - 2 * e_edge) < 1e-13, f"gap vs twice band-edge hole, eta={eta}"
-        assert thermo.excitation_gap_tl(eta, Parity.EVEN) == 0.0
-    return f"band-edge identities to {worst:.1e}"
-
-
-def _check_parity_reversal() -> str:
-    worst = 0.0
-    for eta in (1.5, 2.0):
         e_b = thermo.twisted_boundary_energy(eta, Parity.EVEN)
-        for N, sign in ((100, +1.0), (101, -1.0)):
-            diff = (thermo.ground_energy_tl(N, eta, Boundary.ANTIPERIODIC)
-                    - thermo.ground_energy_tl(N, eta, Boundary.PERIODIC))
-            worst = max(worst, abs(diff - sign * e_b))
-            assert abs(diff - sign * e_b) < 1e-13, f"N={N}, eta={eta}"
-    return f"boundary-energy parity reversal to {worst:.1e}"
+        gap = thermo.excitation_gap_tl(eta, Parity.ODD)
+        m.add("band-edge identities", abs(e_b - e_edge), f"eta={eta}")
+        m.add("band-edge identities", abs(gap - 2 * e_edge), f"eta={eta}")
+        m.add("even-parity gap", abs(thermo.excitation_gap_tl(eta, Parity.EVEN)),
+              f"eta={eta}")
+    for eta in boundary_etas:
+        r = thermo.twisted_boundary_energy(eta, Parity.EVEN) / math.cosh(eta)
+        m.add("boundary energy vs table", abs(r - PAPER_TABLE[eta][0]), f"eta={eta}")
+        m.notes.append(f"E_b/cosh = {r:.6f} at eta={eta}")
+    for eta in gap_etas:
+        r = thermo.excitation_gap_tl(eta, Parity.ODD) / math.cosh(eta)
+        m.add("gap vs table", abs(r - PAPER_TABLE[eta][1]), f"eta={eta}")
+        m.notes.append(f"gap/cosh = {r:.6f} at eta={eta}")
+    if isotropic_etas:
+        e0 = thermo.e0_density(ISOTROPIC_ETA) / math.cosh(ISOTROPIC_ETA)
+        m.add("isotropic e0", abs(e0 - (1.0 - 4.0 * math.log(2.0))), f"eta={ISOTROPIC_ETA}")
+        edge = [thermo.hole_energy(math.pi / eta, eta) for eta in isotropic_etas]
+        for eta, a, b in zip(isotropic_etas[1:], edge, edge[1:]):
+            m.add("hole energy not falling", not a > b, f"eta={eta}")
+        m.add("band-edge hole at last eta", abs(edge[-1]), f"eta={isotropic_etas[-1]}")
+    return m
 
 
-def _check_operator_identities(n_pairs: int) -> str:
-    params = model.ModelParams(N=6, eta=_ETA, boundary=Boundary.ANTIPERIODIC)
-    rng = np.random.default_rng(11)
-    worst_comm = 0.0
-    for _ in range(n_pairs):
-        u, v = rng.uniform(-1.0, 1.0, 2) + 1j * rng.uniform(-0.5, 0.5, 2)
-        tu = model.transfer_matrix(complex(u), params).dense
-        tv = model.transfer_matrix(complex(v), params).dense
-        worst_comm = max(worst_comm, np.linalg.norm(tu @ tv - tv @ tu))
-    assert worst_comm < 1e-10, f"transfer commutator {worst_comm:.2e}"
-
-    h = 1e-6
-    t0 = model.transfer_matrix(0.0, params).dense
-    tp = model.transfer_matrix(h, params).dense
-    tm = model.transfer_matrix(-h, params).dense
-    dlog = np.linalg.solve(t0, (tp - tm) / (2 * h))
-    H_fd = 2 * math.sinh(_ETA) * dlog - params.N * math.cosh(_ETA) * np.eye(params.dim)
-    H = model.build_hamiltonian(params).dense
-    defect_h = np.max(np.abs(H_fd - H))
-    assert defect_h < 1e-6, f"derivative identity defect {defect_h:.2e}"
-
-    power = np.linalg.matrix_power(t0, 2 * params.N)
-    defect_p = np.max(np.abs(power - np.eye(params.dim)))
-    assert defect_p < 1e-10, f"t(0)^2N defect {defect_p:.2e}"
-    return (f"commutators {worst_comm:.1e}, derivative identity {defect_h:.1e}, "
-            f"shift power {defect_p:.1e}")
+PARITY_REVERSAL_BOUNDS = {"(anti - per) vs +-E_b": 1e-13}
 
 
-def _check_hom_vs_ed(n_max: int) -> str:
-    worst = 0.0
-    for N in range(4, n_max + 1):
-        qn = baes.ground_quantum_numbers(N, Boundary.PERIODIC)
-        roots = baes.solve_log_baes(_ETA, N, qn)
-        e_hom = baes.energy_hom(roots)
-        params = model.ModelParams(N=N, eta=_ETA, boundary=Boundary.PERIODIC)
-        ed = model.ed_spectrum(model.build_hamiltonian(params), 1).eigenvalues[0]
-        defect = abs(e_hom - ed)
-        worst = max(worst, defect)
-        assert defect < 1e-9, f"periodic N={N}: {defect:.2e}"
-    return f"periodic reduced-root energies match ED to {worst:.1e}"
+def check_parity_reversal(etas, sizes) -> Measured:
+    """The series' (anti - per) ground-energy difference is +E_b at even N
+    and -E_b at odd N."""
+    m = Measured(PARITY_REVERSAL_BOUNDS)
+    for eta in etas:
+        e_b = thermo.twisted_boundary_energy(eta, Parity.EVEN)
+        for N in sizes:
+            diff = (thermo.ground_energy_tl(N, eta, _ANTI)
+                    - thermo.ground_energy_tl(N, eta, _PER))
+            expected = e_b if N % 2 == 0 else -e_b
+            m.add("(anti - per) vs +-E_b", abs(diff - expected), f"N={N}, eta={eta}")
+    return m
 
 
-def _check_inhom_vs_ed(n_list) -> str:
+OPERATOR_BOUNDS = {"commutator": 1e-10, "derivative identity": 1e-6, "shift power": 1e-10}
+
+
+def check_operator_identities(N: int, n_pairs: int) -> Measured:
+    """On both boundaries at eta = 2: [t(u), t(v)] = 0 for n_pairs random
+    complex pairs (real and imaginary parts in (-1, 1)), H = 2 sinh(eta)
+    d/du log t(u) at u = 0 minus N cosh(eta) (central difference), and
+    t(0)^(2N) = 1."""
     rng = np.random.default_rng(3)
-    worst_e, worst_lam = 0.0, 0.0
-    for N in n_list:
-        params = model.ModelParams(N=N, eta=_ETA, boundary=Boundary.ANTIPERIODIC)
+    m = Measured(OPERATOR_BOUNDS)
+    h = 1e-6
+    for boundary in (_ANTI, _PER):
+        params = model.ModelParams(N, _ETA, boundary)
+        pairs = rng.uniform(-1, 1, (n_pairs, 2)) + 1j * rng.uniform(-1, 1, (n_pairs, 2))
+        for u, v in pairs:
+            tu = model.transfer_matrix(complex(u), params).dense
+            tv = model.transfer_matrix(complex(v), params).dense
+            m.add("commutator", np.linalg.norm(tu @ tv - tv @ tu), boundary.value)
+
+        t0 = model.transfer_matrix(0.0, params).dense
+        tp = model.transfer_matrix(h, params).dense
+        tm = model.transfer_matrix(-h, params).dense
+        dlog = np.linalg.solve(t0, (tp - tm) / (2 * h))
+        H_fd = 2 * math.sinh(_ETA) * dlog - N * math.cosh(_ETA) * np.eye(params.dim)
+        H = model.build_hamiltonian(params).dense
+        m.add("derivative identity", np.max(np.abs(H_fd - H)), boundary.value)
+
+        power = np.linalg.matrix_power(t0, 2 * N)
+        m.add("shift power", np.max(np.abs(power - np.eye(params.dim))), boundary.value)
+    return m
+
+
+HOM_VS_ED_BOUNDS = {"energy": 1e-9}
+
+
+def check_hom_vs_ed(sizes) -> Measured:
+    """Periodic-chain reduced-root ground energies against ED at eta = 2."""
+    m = Measured(HOM_VS_ED_BOUNDS)
+    for N in sizes:
+        roots = baes.solve_log_baes(_ETA, N, baes.ground_quantum_numbers(N, _PER))
+        ed = _ed_ground(model.ModelParams(N, _ETA, _PER))
+        m.add("energy", abs(baes.energy_hom(roots) - ed), f"N={N}")
+    return m
+
+
+INHOM_VS_ED_BOUNDS = {"energy": 1e-8, "eigenvalue": 1e-8}
+INHOM_POINTS = 5   # spectral points u per N for the eigenvalue reconstruction
+
+
+def check_inhom_vs_ed(sizes) -> Measured:
+    """Twisted chain at eta = 2: the inhomogeneous T-Q roots' energy against
+    ED, and their eigenvalue Lambda(u) against <v|t(u)|v> on the ground
+    doublet's branch vector (relative) at INHOM_POINTS random complex u."""
+    rng = np.random.default_rng(7)
+    m = Measured(INHOM_VS_ED_BOUNDS)
+    for N in sizes:
+        params = model.ModelParams(N, _ETA, _ANTI)
         roots = baes.solve_inhom_baes(params)
-        e = baes.energy_inhom(roots, params)
-        ed = model.ed_spectrum(model.build_hamiltonian(params), 1).eigenvalues[0]
-        worst_e = max(worst_e, abs(e - ed))
-        assert abs(e - ed) < 1e-8, f"N={N} energy defect {abs(e - ed):.2e}"
-        gs = model.ground_space(params)
-        v = gs.branch_vector(1j if N % 2 == 0 else 1.0)
-        for u in rng.uniform(-0.7, 0.7, 2) + 1j * rng.uniform(-0.5, 0.5, 2):
-            t_u = model.transfer_matrix(complex(u), params)
-            lam_ed = np.vdot(v, t_u.matvec(v))
+        m.add("energy", abs(baes.energy_inhom(roots, params) - _ed_ground(params)), f"N={N}")
+        v = model.ground_space(params).branch_vector(1j if N % 2 == 0 else 1.0)
+        us = (rng.uniform(-0.7, 0.7, INHOM_POINTS)
+              + 1j * rng.uniform(-0.5, 0.5, INHOM_POINTS))
+        for u in us:
+            lam_ed = np.vdot(v, model.transfer_matrix(complex(u), params).matvec(v))
             lam_tq = baes.tq_eigenvalue(complex(u), roots)
-            rel = abs(lam_ed - lam_tq) / max(abs(lam_ed), 1e-30)
-            worst_lam = max(worst_lam, rel)
-            assert rel < 1e-8, f"N={N} eigenvalue mismatch {rel:.2e}"
-    return f"energies to {worst_e:.1e}, eigenvalue reconstruction to {worst_lam:.1e}"
+            m.add("eigenvalue", abs(lam_ed - lam_tq) / max(abs(lam_ed), 1e-30), f"N={N}")
+    return m
 
 
-def _check_einh_signs(evens, odds) -> str:
-    prev = None
-    for N in evens:
-        e = baes.inhom_contribution(N, _ETA, "Energy")
-        assert e > 0, f"even N={N}: E_inh={e:.3e} not positive"
-        if prev is not None:
-            assert abs(e) < abs(prev), f"|E_inh| not decreasing at even N={N}"
-        prev = e
-    prev = None
-    for N in odds:
-        e = baes.inhom_contribution(N, _ETA, "Energy")
-        assert e < 0, f"odd N={N}: E_inh={e:.3e} not negative"
-        if prev is not None:
-            assert abs(e) < abs(prev), f"|E_inh| not decreasing at odd N={N}"
-        prev = e
-    return (f"sign and decay over even {list(evens)} / odd {list(odds)}")
+EINH_EXPONENT_BAND = (-2.4, -1.2)
+EINH_BOUNDS = {"wrong sign": 0, "not decaying": 0, "even exponent outside band": 0}
 
 
-def _check_charges(even_max: int, odd_max: int) -> str:
-    worst_p, worst_h2 = 0.0, 0.0
-    for N in range(4, even_max + 1, 2):
-        params = model.ModelParams(N=N, eta=_ETA, boundary=Boundary.ANTIPERIODIC)
+def check_einh_signs(evens, odds) -> Measured:
+    """E_inh = E_reduced - E_ED on the twisted chain at eta = 2: positive at
+    even N, negative at odd N, |E_inh| strictly falling along each list.
+    With at least 3 even sizes, the power-law exponent fitted to the even
+    values lies in EINH_EXPONENT_BAND."""
+    m = Measured(EINH_BOUNDS)
+    values = {}
+    for sizes, sign in ((evens, 1.0), (odds, -1.0)):
+        prev = math.inf
+        for N in sizes:
+            e = values[N] = baes.inhom_contribution(N, _ETA, "Energy")
+            m.add("wrong sign", not sign * e > 0, f"N={N}")
+            m.add("not decaying", not abs(e) < prev, f"N={N}")
+            prev = abs(e)
+    if len(evens) >= 3:
+        fit = scaling.fit("power", [scaling.Sample(N, values[N]) for N in evens])
+        lo, hi = EINH_EXPONENT_BAND
+        m.add("even exponent outside band", np.max([0.0, lo - fit.b, fit.b - hi]))
+        m.notes.append(f"even exponent {fit.b:.3f} (band [{lo}, {hi}])")
+    return m
+
+
+CHARGE_BOUNDS = {"momentum": 1e-9, "H2 expectation": 1e-8, "odd-N reduced charges": 0}
+
+
+def check_charges(evens, odds) -> Measured:
+    """Twisted-chain ground doublet at eta = 2: its t(0) phases are exactly
+    +-pi/2 at even N and {0, pi} at odd N, and <H2> vanishes on both
+    members; the reduced momentum and H2 corrections are exactly 0 at each
+    odd N."""
+    m = Measured(CHARGE_BOUNDS)
+    for N in sorted([*evens, *odds]):
+        params = model.ModelParams(N, _ETA, _ANTI)
         gs = model.ground_space(params)
-        moms = sorted(np.log(np.asarray(gs.t0_eigenvalues, dtype=complex)).imag)
-        defect = max(abs(moms[0] + math.pi / 2), abs(moms[1] - math.pi / 2))
-        worst_p = max(worst_p, defect)
-        assert defect < 1e-9, f"even N={N} momentum defect {defect:.2e}"
-    for N in range(5, odd_max + 1, 2):
-        params = model.ModelParams(N=N, eta=_ETA, boundary=Boundary.ANTIPERIODIC)
-        gs = model.ground_space(params)
-        moms = sorted(np.log(np.asarray(gs.t0_eigenvalues, dtype=complex)).imag)
-        defect = max(abs(moms[0]), abs(moms[1] - math.pi))
-        worst_p = max(worst_p, defect)
-        assert defect < 1e-9, f"odd N={N} momentum defect {defect:.2e}"
-    for N in range(4, even_max + 1):
-        params = model.ModelParams(N=N, eta=_ETA, boundary=Boundary.ANTIPERIODIC)
-        gs = model.ground_space(params)
+        lo, hi = sorted(np.log(np.asarray(gs.t0_eigenvalues, dtype=complex)).imag)
+        want_lo, want_hi = (-math.pi / 2, math.pi / 2) if N % 2 == 0 else (0.0, math.pi)
+        m.add("momentum", max(abs(lo - want_lo), abs(hi - want_hi)), f"N={N}")
         H2 = model.build_h2_charge(params)
-        for col in range(2):
-            v = gs.vectors[:, col]
-            expect = abs(np.vdot(v, H2.matvec(v)))
-            worst_h2 = max(worst_h2, expect)
-            assert expect < 1e-8, f"N={N} H2 expectation {expect:.2e}"
-    for N in (5, 7):
-        assert baes.inhom_contribution(N, _ETA, "Momentum") == 0
-        assert baes.inhom_contribution(N, _ETA, "ChargeH2") == 0
-    return f"momenta to {worst_p:.1e}, H2 expectations to {worst_h2:.1e}, odd zeros exact"
+        for v in gs.vectors.T:
+            m.add("H2 expectation", abs(np.vdot(v, H2.matvec(v))), f"N={N}")
+    for N in odds:
+        for observable in ("Momentum", "ChargeH2"):
+            m.add("odd-N reduced charges",
+                  abs(baes.inhom_contribution(N, _ETA, observable)), f"N={N} {observable}")
+    return m
 
 
-def _check_scaling_recovery() -> str:
-    s = [(N, 3.7 * N ** -1.8) for N in range(8, 41, 2)]
-    f = scaling.fit("power", s)
-    assert abs(f.a - 3.7) < 1e-8 and abs(f.b + 1.8) < 1e-8
-    s = [(N, 1.028 * math.exp(-0.3787 * N) + 1.027) for N in range(4, 41, 2)]
-    f = scaling.fit("exp-offset", s)
-    assert (abs(f.a - 1.028) < 1e-6 and abs(f.b + 0.3787) < 1e-6
-            and abs(f.c - 1.027) < 1e-6)
-    assert abs(scaling.extrapolate(f) - 1.027) < 1e-6
-    return "synthetic power and offset-exponential recovery to 1e-6"
+# (kind, a, b, c): y = a N^b + c or a exp(b N) + c, c None without offset
+SYNTHETIC_LAWS = (("power", 3.7, -1.8, None), ("exp", 4.2, -0.33, None),
+                  ("power-offset", 1.028, -0.3787, 1.027),
+                  ("exp-offset", -0.7, -0.52, 2.05492),
+                  ("exp-offset", 1.028, -0.3787, 1.027))
+# series E_b/cosh(eta), the N -> infinity limit of ED's (anti - per)/cosh(eta)
+BOUNDARY_ENERGY_SERIES = {2.0: 1.0274615190603028, 3.0: 1.6135586287295252}
+SCALING_BOUNDS = {"power": 1e-8, "exp": 1e-6, "power-offset": 1e-6,
+                  "exp-offset": 1e-6, "ED asymptote": 2e-2}
 
 
-def _check_workbench_roundtrip() -> str:
+def check_scaling_recovery(size_lists, ed_etas=(), ed_sizes=()) -> Measured:
+    """Each synthetic law, fitted on each list of sizes, returns its
+    parameters and, with an offset, its asymptote.  For each eta in
+    ed_etas, the windowed exp-offset fit of ED's (E_anti - E_per)/cosh(eta)
+    over ed_sizes extrapolates to BOUNDARY_ENERGY_SERIES."""
+    m = Measured(SCALING_BOUNDS)
+    for sizes in size_lists:
+        for kind, a, b, c in SYNTHETIC_LAWS:
+            ys = [a * (N ** b if kind.startswith("power") else math.exp(b * N)) + (c or 0.0)
+                  for N in sizes]
+            f = scaling.fit(kind, [scaling.Sample(N, y) for N, y in zip(sizes, ys)])
+            devs = [abs(f.a - a), abs(f.b - b)]
+            if c is not None:
+                devs += [abs(f.c - c), abs(scaling.extrapolate(f) - c)]
+            m.add(kind, np.max(devs), f"N={sizes[0]}..{sizes[-1]}")
+    for eta in ed_etas:
+        samples = []
+        for N in ed_sizes:
+            e_anti, e_per = (_ed_ground(model.ModelParams(N, eta, b)) for b in (_ANTI, _PER))
+            samples.append(scaling.Sample(N, (e_anti - e_per) / math.cosh(eta)))
+        f, _used = scaling.fit_with_window("exp-offset", samples)
+        m.add("ED asymptote", abs(scaling.extrapolate(f) - BOUNDARY_ENERGY_SERIES[eta]),
+              f"eta={eta}")
+    return m
+
+
+ROUNDTRIP_BOUNDS = {"failed points": 0, "rerun differs": 0, "CSV mismatches": 0,
+                    "JSON differs": 0}
+
+
+def check_workbench_roundtrip(etas, sizes) -> Measured:
+    """A Thermo sweep reruns byte-identically from its cache, and its CSV and
+    JSON files parse back to the records."""
+    m = Measured(ROUNDTRIP_BOUNDS)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = ExperimentConfig(experiment="Thermo", eta=[2.0, 3.0],
-                               N_list=[4], output_dir=tmp)
+        cfg = ExperimentConfig(experiment="Thermo", eta=list(etas), N_list=list(sizes),
+                               output_dir=tmp)
         records = run(cfg)
-        assert all(r.status == "ok" for r in records)
+        m.add("failed points", sum(r.status != "ok" for r in records))
         first = emit(records, "CSV", tmp)[0].read_bytes()
-        again = emit(run(cfg), "CSV", tmp)[0].read_bytes()
-        assert first == again, "rerun is not byte-identical"
+        m.add("rerun differs", first != emit(run(cfg), "CSV", tmp)[0].read_bytes())
         rows = parse_csv(Path(tmp) / "thermo.csv")
-        for row, rec in zip(rows, records):
-            flat = flatten_record(rec)
-            for key, val in flat.items():
-                assert row[key] == val, f"round-trip mismatch in {key}"
-        path = emit(records, "JSON", tmp)[0]
-        parsed = json.loads(path.read_text(encoding="utf-8"))
-        assert [r.to_dict() for r in records] == parsed
-    return "cache determinism and CSV/JSON round-trip"
+        m.add("CSV mismatches", sum(row[key] != val
+                                    for row, rec in zip(rows, records)
+                                    for key, val in flatten_record(rec).items()))
+        parsed = json.loads(emit(records, "JSON", tmp)[0].read_text(encoding="utf-8"))
+        m.add("JSON differs", [r.to_dict() for r in records] != parsed)
+    return m
 
 
-def _check_large_n_consistency() -> str:
-    """Reduced-root energies at N ~ 200 against the thermodynamic series.
-
-    All four (boundary, parity) ground states must match the band-edge
-    table plus the analytic hole-quantization term to 1e-5; the term is
-    zero for the hole-free ones, which therefore test N*e0 alone.  The
-    table reads ``thermo.e0_density`` through the module at call time, so
-    a perturbed series is picked up.
-    """
-    worst = 0.0
-    for N, boundary in ((201, Boundary.ANTIPERIODIC), (200, Boundary.PERIODIC),
-                        (200, Boundary.ANTIPERIODIC), (201, Boundary.PERIODIC)):
-        qn = baes.ground_quantum_numbers(N, boundary)
-        roots = baes.solve_log_baes(_ETA, N, qn)
-        e_hom = baes.energy_hom(roots)
-        expected = (thermo.ground_energy_tl(N, _ETA, boundary)
-                    + thermo.hole_quantization_energy(N, _ETA, boundary))
-        defect = abs(e_hom - expected)
-        worst = max(worst, defect)
-        assert defect < 1e-5, f"N={N} {boundary.value}: defect {defect:.2e}"
-    return f"all four ground states match table + hole term to {worst:.1e}"
+LARGE_N_BOUNDS = {"table + hole term": 1e-5}
 
 
-# ---------------------------------------------------------------------------
-# suite driver
+def check_large_n_consistency(sizes) -> Measured:
+    """Reduced-root ground energies on both boundaries at eta = 2 against
+    the band-edge table plus the analytic hole-quantization term, which is
+    zero for the hole-free ground states: those test N*e0 alone."""
+    m = Measured(LARGE_N_BOUNDS)
+    for N in sizes:
+        for boundary in (_ANTI, _PER):
+            roots = baes.solve_log_baes(_ETA, N, baes.ground_quantum_numbers(N, boundary))
+            expected = (thermo.ground_energy_tl(N, _ETA, boundary)
+                        + thermo.hole_quantization_energy(N, _ETA, boundary))
+            m.add("table + hole term", abs(baes.energy_hom(roots) - expected),
+                  f"N={N} {boundary.value}")
+    return m
 
 
-def _fast_checks():
-    return [
-        ("thermo-series-identities", _check_thermo_identities),
-        ("parity-reversal", _check_parity_reversal),
-        ("operator-identities", lambda: _check_operator_identities(3)),
-        ("hom-roots-vs-ed", lambda: _check_hom_vs_ed(8)),
-        ("inhom-roots-vs-ed", lambda: _check_inhom_vs_ed((4, 6))),
-        ("inhom-energy-signs", lambda: _check_einh_signs((8,), (7,))),
-        ("conserved-charges", lambda: _check_charges(8, 7)),
-        ("scaling-fit-recovery", _check_scaling_recovery),
-        ("workbench-roundtrip", _check_workbench_roundtrip),
-    ]
+# name: (check, its arguments at level fast, at level full; None: not run)
+CHECKS = {
+    "thermo-series-identities": (check_thermo_series, ((1.0, 2.0, 3.0),), ((1.0, 2.0, 3.0),)),
+    "parity-reversal": (check_parity_reversal, ((1.5, 2.0), (100, 101)),
+                        ((1.5, 2.0), (100, 101))),
+    "operator-identities": (check_operator_identities, (6, 3), (6, 20)),
+    "hom-roots-vs-ed": (check_hom_vs_ed, (range(4, 9),), (range(4, 13),)),
+    "inhom-roots-vs-ed": (check_inhom_vs_ed, ((4, 6),), ((4, 6, 8, 10),)),
+    "inhom-energy-signs": (check_einh_signs, ((8,), (7,)),
+                           ((8, 10, 12, 14, 16, 18), (7, 9, 11, 13))),
+    "conserved-charges": (check_charges, (range(4, 9, 2), range(5, 8, 2)),
+                          (range(4, 13, 2), range(5, 12, 2))),
+    "scaling-fit-recovery": (check_scaling_recovery, ((range(8, 41, 2), range(4, 41, 2)),),
+                             ((range(8, 41, 2), range(4, 41, 2)),)),
+    "workbench-roundtrip": (check_workbench_roundtrip, ((2.0, 3.0), (4,)),
+                            ((2.0, 3.0), (4,))),
+    "large-n-bae-consistency": (check_large_n_consistency, None, ((200, 201),)),
+}
+LEVELS = ("fast", "full")
 
 
-def _full_checks():
-    return [
-        ("thermo-series-identities", _check_thermo_identities),
-        ("parity-reversal", _check_parity_reversal),
-        ("operator-identities", lambda: _check_operator_identities(20)),
-        ("hom-roots-vs-ed", lambda: _check_hom_vs_ed(12)),
-        ("inhom-roots-vs-ed", lambda: _check_inhom_vs_ed((4, 6, 8, 10))),
-        ("inhom-energy-signs",
-         lambda: _check_einh_signs((8, 10, 12, 14, 16, 18), (7, 9, 11, 13))),
-        ("conserved-charges", lambda: _check_charges(12, 11)),
-        ("scaling-fit-recovery", _check_scaling_recovery),
-        ("workbench-roundtrip", _check_workbench_roundtrip),
-        ("large-n-bae-consistency", _check_large_n_consistency),
-    ]
-
-
-def verify(level: str = "fast", *, only=None) -> VerifyReport:
-    """Run the named level's checks; ``only`` filters by check name."""
+def verify(level: str = "fast") -> VerifyReport:
+    """Run the named level's checks, each timed and reported on one line."""
     key = str(level).strip().lower()
-    if key == "fast":
-        checks = _fast_checks()
-    elif key == "full":
-        checks = _full_checks()
-    else:
+    if key not in LEVELS:
         raise ValueError(f"unknown verify level: {level!r}; use fast or full")
-    if only is not None:
-        wanted = set(only)
-        checks = [c for c in checks if c[0] in wanted]
-
     results = []
     t_start = time.perf_counter()
-    for name, fn in checks:
+    for name, (check, *level_args) in CHECKS.items():
+        args = level_args[LEVELS.index(key)]
+        if args is None:
+            continue
         t0 = time.perf_counter()
         try:
-            detail = fn()
-            results.append(CheckResult(name, True, detail,
-                                       time.perf_counter() - t0))
+            measured = check(*args)
+            ok, detail = measured.ok, measured.summary()
         except Exception as exc:
-            results.append(CheckResult(name, False, f"{type(exc).__name__}: {exc}",
-                                       time.perf_counter() - t0))
+            ok, detail = False, f"{type(exc).__name__}: {exc}"
+        results.append(CheckResult(name, ok, detail, time.perf_counter() - t0))
     return VerifyReport(key, results, time.perf_counter() - t_start)

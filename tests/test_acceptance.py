@@ -1,29 +1,37 @@
 """Acceptance suite: one check per headline capability, one line each.
 
-Each test prints a single PASS/FAIL line (bypassing capture) and then
-asserts, so the printed transcript mirrors the pytest outcome.  Stated
-tolerances and runtime budgets are asserted, not just aspirational.
+Each criterion calls a check function of ``twistbethe.workbench.verify``
+with its own sizes; the bounds live beside those functions.  Each test
+prints a single PASS/FAIL line (bypassing capture) and then asserts the
+check's bounds and the criterion's runtime budget, so the printed
+transcript mirrors the pytest outcome.
 """
 
 import math
 import time
 
-import numpy as np
 import pytest
 
-from twistbethe import baes, model, scaling, thermo
-from twistbethe.common import Boundary, Parity
-
-ETA2, ETA3 = 2.0, 3.0
-CH2, CH3 = math.cosh(2.0), math.cosh(3.0)
+from twistbethe.workbench.verify import (
+    check_charges,
+    check_einh_signs,
+    check_inhom_vs_ed,
+    check_large_n_consistency,
+    check_operator_identities,
+    check_parity_reversal,
+    check_scaling_recovery,
+    check_thermo_series,
+)
 
 
 @pytest.fixture
 def report(capsys):
-    def _report(name, ok, detail=""):
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail:
-            line += f": {detail}"
+    def _report(name, budget, check, *args, **kwargs):
+        t0 = time.perf_counter()
+        measured = check(*args, **kwargs)
+        dt = time.perf_counter() - t0
+        ok = measured.ok and dt < budget
+        line = f"{'PASS' if ok else 'FAIL'}  {name}: {measured.summary()} ({dt:.1f}s)"
         with capsys.disabled():
             print(line, flush=True)
         assert ok, line
@@ -31,200 +39,49 @@ def report(capsys):
 
 
 def test_criterion_01_twisted_boundary_energy(report):
-    t0 = time.perf_counter()
-    r2 = thermo.twisted_boundary_energy(ETA2, Parity.EVEN) / CH2
-    r3 = thermo.twisted_boundary_energy(ETA3, Parity.EVEN) / CH3
-    dt = time.perf_counter() - t0
-    d2, d3 = abs(r2 - 1.02746), abs(r3 - 1.61356)
-    report("criterion-01 twisted boundary energy",
-           d2 < 1e-5 and d3 < 1e-5 and dt < 1.0,
-           f"E_b/cosh = {r2:.6f}, {r3:.6f} (dev {d2:.1e}, {d3:.1e}; {dt:.2f}s)")
+    report("criterion-01 twisted boundary energy", 1.0,
+           check_thermo_series, boundary_etas=(2.0, 3.0))
 
 
 def test_criterion_02_excitation_gap(report):
-    t0 = time.perf_counter()
-    g2 = thermo.excitation_gap_tl(ETA2, Parity.ODD) / CH2
-    g3 = thermo.excitation_gap_tl(ETA3, Parity.ODD) / CH3
-    dt = time.perf_counter() - t0
-    d2, d3 = abs(g2 - 2.05492), abs(g3 - 3.22712)
-    report("criterion-02 excitation gap",
-           d2 < 1e-5 and d3 < 1e-5 and dt < 1.0,
-           f"gap/cosh = {g2:.6f}, {g3:.6f} (dev {d2:.1e}, {d3:.1e}; {dt:.2f}s)")
+    report("criterion-02 excitation gap", 1.0,
+           check_thermo_series, gap_etas=(2.0, 3.0))
 
 
 def test_criterion_03_isotropic_limit(report):
-    eta = 1e-3
-    e0 = thermo.e0_density(eta) / math.cosh(eta)
-    dev = abs(e0 - (1.0 - 4.0 * math.log(2.0)))
-    edge = [thermo.hole_energy(math.pi / e, e) for e in (0.6, 0.45, 0.3, 0.2)]
-    small = abs(thermo.hole_energy(math.pi / 0.05, 0.05))
-    decreasing = all(a > b for a, b in zip(edge, edge[1:]))
-    report("criterion-03 isotropic limit",
-           dev < 2e-3 and small < 1e-3 and decreasing,
-           f"e0 dev {dev:.1e}; band-edge hole {small:.1e} at eta=0.05, "
-           f"decreasing over grid: {decreasing}")
+    report("criterion-03 isotropic limit", math.inf,
+           check_thermo_series, isotropic_etas=(0.6, 0.45, 0.3, 0.2, 0.05))
 
 
 def test_criterion_04_inhom_tq_vs_ed(report):
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(7)
-    worst_e, worst_lam = 0.0, 0.0
-    for N in (4, 6, 8):
-        params = model.ModelParams(N, ETA2, Boundary.ANTIPERIODIC)
-        roots = baes.solve_inhom_baes(params)
-        e = baes.energy_inhom(roots, params)
-        ed = model.ed_spectrum(model.build_hamiltonian(params), 1).eigenvalues[0]
-        worst_e = max(worst_e, abs(e - ed))
-        gs = model.ground_space(params)
-        v = gs.branch_vector(1j if N % 2 == 0 else 1.0)
-        for u in rng.uniform(-0.7, 0.7, 5) + 1j * rng.uniform(-0.5, 0.5, 5):
-            lam_ed = np.vdot(v, model.transfer_matrix(complex(u), params).matvec(v))
-            lam_tq = baes.tq_eigenvalue(complex(u), roots)
-            worst_lam = max(worst_lam, abs(lam_ed - lam_tq) / abs(lam_ed))
-    dt = time.perf_counter() - t0
-    report("criterion-04 inhomogeneous T-Q vs ED",
-           worst_e < 1e-8 and worst_lam < 1e-8 and dt < 120.0,
-           f"energy dev {worst_e:.1e}, eigenvalue dev {worst_lam:.1e} ({dt:.1f}s)")
+    report("criterion-04 inhomogeneous T-Q vs ED", 120.0, check_inhom_vs_ed, (4, 6, 8))
 
 
 def test_criterion_05_inhom_term_sign_and_decay(report):
-    t0 = time.perf_counter()
-    even = [8, 10, 12, 14, 16, 18]
-    odd = [7, 9, 11, 13, 15, 17]
-    e_even = [baes.inhom_contribution(N, ETA2, "Energy") for N in even]
-    e_odd = [baes.inhom_contribution(N, ETA2, "Energy") for N in odd]
-    dt = time.perf_counter() - t0
-
-    signs = all(v > 0 for v in e_even) and all(v < 0 for v in e_odd)
-    dec_even = all(a > b for a, b in zip(e_even, e_even[1:]))
-    dec_odd = all(abs(a) > abs(b) for a, b in zip(e_odd, e_odd[1:]))
-    r = scaling.fit("power", [scaling.Sample(n, v) for n, v in zip(even, e_even)])
-    in_band = -2.4 <= r.b <= -1.2
-    report("criterion-05 inhomogeneous term sign and decay",
-           signs and dec_even and dec_odd and in_band and dt < 1800.0,
-           f"signs ok={signs}, decay ok={dec_even and dec_odd}, "
-           f"even exponent {r.b:.3f} in [-2.4,-1.2]: {in_band} ({dt:.0f}s)")
+    report("criterion-05 inhomogeneous term sign and decay", 1800.0,
+           check_einh_signs, (8, 10, 12, 14, 16, 18), (7, 9, 11, 13, 15, 17))
 
 
 def test_criterion_06_large_n_homogeneous(report):
-    t0 = time.perf_counter()
-    devs = {}
-    for N, boundary in ((200, "anti"), (200, "per"), (201, "anti"), (201, "per")):
-        qn = baes.ground_quantum_numbers(N, boundary)
-        roots = baes.solve_log_baes(ETA2, N, qn)
-        e = baes.energy_hom(roots)
-        # band-edge table plus the analytic finite-N position of the hole
-        expected = (thermo.ground_energy_tl(N, ETA2, boundary)
-                    + thermo.hole_quantization_energy(N, ETA2, boundary))
-        devs[(N, boundary)] = abs(e - expected)
-    dt = time.perf_counter() - t0
-    worst = max(devs.values())
-    detail = ", ".join(f"{b} N={n}: {d:.1e}" for (n, b), d in devs.items())
-    report("criterion-06 large-N homogeneous convergence",
-           worst < 1e-5 and dt < 10.0, f"{detail} ({dt:.1f}s)")
+    report("criterion-06 large-N homogeneous convergence", 10.0,
+           check_large_n_consistency, (200, 201))
 
 
 def test_criterion_07_parity_reversal(report):
-    eb_even = thermo.twisted_boundary_energy(ETA2, Parity.EVEN)
-    d_even = (thermo.ground_energy_tl(100, ETA2, "anti")
-              - thermo.ground_energy_tl(100, ETA2, "per"))
-    d_odd = (thermo.ground_energy_tl(101, ETA2, "anti")
-             - thermo.ground_energy_tl(101, ETA2, "per"))
-    dev = max(abs(d_even - eb_even), abs(d_odd + eb_even))
-    report("criterion-07 parity reversal", dev < 1e-13,
-           f"(anti - per) = +/-E_b to {dev:.1e}")
+    report("criterion-07 parity reversal", math.inf,
+           check_parity_reversal, (2.0,), (100, 101))
 
 
 def test_criterion_08_operator_identities(report):
-    t0 = time.perf_counter()
-    rng = np.random.default_rng(3)
-    worst_comm, worst_fd, worst_shift = 0.0, 0.0, 0.0
-    for boundary in ("anti", "per"):
-        params = model.ModelParams(6, ETA2, boundary)
-        mats = {}
-        for u, v in zip(rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20),
-                        rng.uniform(-1, 1, 20) + 1j * rng.uniform(-1, 1, 20)):
-            for w in (complex(u), complex(v)):
-                if w not in mats:
-                    mats[w] = model.transfer_matrix(w, params).dense
-            tu, tv = mats[complex(u)], mats[complex(v)]
-            worst_comm = max(worst_comm, np.linalg.norm(tu @ tv - tv @ tu))
-
-        H = model.build_hamiltonian(params).dense
-        h = 1e-6
-        t_p = model.transfer_matrix(h, params).dense
-        t_m = model.transfer_matrix(-h, params).dense
-        t0m = model.transfer_matrix(0.0, params).dense
-        dlog = np.linalg.solve(t0m, (t_p - t_m) / (2 * h))
-        H_fd = 2.0 * math.sinh(ETA2) * dlog - 6 * math.cosh(ETA2) * np.eye(64)
-        worst_fd = max(worst_fd, np.abs(H_fd - H).max())
-
-        shift = np.linalg.matrix_power(t0m, 12)
-        worst_shift = max(worst_shift, np.abs(shift - np.eye(64)).max())
-    dt = time.perf_counter() - t0
-    report("criterion-08 operator identities",
-           worst_comm < 1e-10 and worst_fd < 1e-6 and worst_shift < 1e-10
-           and dt < 60.0,
-           f"commutator {worst_comm:.1e}, derivative {worst_fd:.1e}, "
-           f"shift power {worst_shift:.1e} ({dt:.1f}s)")
+    report("criterion-08 operator identities", 60.0, check_operator_identities, 6, 20)
 
 
 def test_criterion_09_conserved_charges(report):
-    t0 = time.perf_counter()
-    worst_p, worst_h2 = 0.0, 0.0
-    for N in range(4, 13):
-        params = model.ModelParams(N, ETA2, Boundary.ANTIPERIODIC)
-        gs = model.ground_space(params)
-        ims = sorted(np.log(np.asarray(gs.t0_eigenvalues, complex)).imag)
-        if N % 2 == 0:
-            worst_p = max(worst_p, abs(ims[0] + math.pi / 2),
-                          abs(ims[1] - math.pi / 2))
-        else:
-            worst_p = max(worst_p, min(abs(ims[0]), abs(abs(ims[0]) - math.pi)),
-                          min(abs(ims[1]), abs(abs(ims[1]) - math.pi)))
-        H2 = model.build_h2_charge(params)
-        for col in range(2):
-            v = gs.vectors[:, col]
-            worst_h2 = max(worst_h2, abs(np.vdot(v, H2.matvec(v))))
-    zeros_exact = all(
-        baes.inhom_contribution(N, ETA2, "Momentum") == 0
-        and baes.inhom_contribution(N, ETA2, "ChargeH2") == 0
-        for N in (5, 7, 9, 11))
-    dt = time.perf_counter() - t0
-    report("criterion-09 conserved charges",
-           worst_p < 1e-9 and worst_h2 < 1e-8 and zeros_exact,
-           f"momentum dev {worst_p:.1e}, H2 expectation {worst_h2:.1e}, "
-           f"odd-N reduced charges exactly zero: {zeros_exact} ({dt:.0f}s)")
+    report("criterion-09 conserved charges", math.inf,
+           check_charges, range(4, 13, 2), range(5, 13, 2))
 
 
 def test_criterion_10_fit_engine(report):
-    ns = np.arange(4, 20, 2, dtype=float)
-    ok_synth = True
-    for kind, truth in (("power", (3.7, -1.8, None)),
-                        ("exp", (4.2, -0.33, None)),
-                        ("power-offset", (1.028, -0.3787, 1.027)),
-                        ("exp-offset", (-0.7, -0.52, 2.05492))):
-        a, b, c = truth
-        vals = a * (ns ** b if kind.startswith("power") else np.exp(b * ns))
-        vals = vals + (c or 0.0)
-        r = scaling.fit(kind, [scaling.Sample(int(n), v)
-                               for n, v in zip(ns, vals)])
-        got = (r.a, r.b, r.c if c is not None else None)
-        ok_synth &= all(x is None and y is None or abs(x - y) < 1e-6
-                        for x, y in zip(got, truth))
-
-    worst = 0.0
-    for eta, target in ((ETA2, 1.0274615190603028), (ETA3, 1.6135586287295252)):
-        samples = []
-        for N in (4, 6, 8, 10, 12):
-            es = {}
-            for b in ("anti", "per"):
-                p = model.ModelParams(N, eta, b)
-                es[b] = model.ed_spectrum(model.build_hamiltonian(p), 1).eigenvalues[0]
-            samples.append(scaling.Sample(N, (es["anti"] - es["per"]) / math.cosh(eta)))
-        r, _used = scaling.fit_with_window("exp-offset", samples)
-        worst = max(worst, abs(scaling.extrapolate(r) - target))
-    report("criterion-10 fit engine",
-           ok_synth and worst < 2e-2,
-           f"synthetic recovery 1e-6: {ok_synth}; boundary-energy asymptote "
-           f"dev {worst:.1e}")
+    report("criterion-10 fit engine", math.inf,
+           check_scaling_recovery, (range(4, 20, 2),),
+           ed_etas=(2.0, 3.0), ed_sizes=(4, 6, 8, 10, 12))

@@ -305,6 +305,8 @@ def test_momentum_of_symmetric_set_is_exact():
     roots = solve_log_baes(ETA, 7, qn)
     p = charge_from_roots("Momentum", roots)
     assert p in (complex(0.0), complex(0.0, math.pi))  # exact, not approximate
+    with pytest.raises(ValueError):
+        charge_from_roots("e0", roots)  # e0 names the ground energy, not a charge
 
 
 def test_settings_validation():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from twistbethe import baes
 from twistbethe.baes import (
     SolverSettings,
     bae_relative_residual,
@@ -115,7 +116,12 @@ def test_momentum_from_inhom_roots_on_doublet_branch():
             assert min(abs(p.imag), abs(abs(p.imag) - math.pi)) < 1e-9
 
 
-def test_rejects_unsupported_inputs():
+def test_rejects_unsupported_inputs(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("roots solved before the input was refused")
+
+    # inhom_contribution must refuse before it solves the log-BAEs
+    monkeypatch.setattr(baes, "solve_log_baes", unreachable)
     with pytest.raises(ValueError):
         solve_inhom_baes(ModelParams(4, ETA, "per"))
     with pytest.raises(ValueError):
@@ -124,6 +130,8 @@ def test_rejects_unsupported_inputs():
         solve_inhom_baes(ModelParams(14, ETA, "anti"))
     with pytest.raises(ValueError):
         inhom_contribution(22, ETA, "Energy")
+    with pytest.raises(ValueError):
+        inhom_contribution(22, ETA, "ChargeH2")
     with pytest.raises(ValueError):
         inhom_contribution(8, ETA, "Spin")
 

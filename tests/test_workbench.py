@@ -1,10 +1,12 @@
 """Workbench plumbing: config, cache, emitters, CLI, self checks."""
 
+import cmath
+import dataclasses
 import json
 
 import pytest
 
-import twistbethe.thermo
+from twistbethe import baes, model, thermo
 from twistbethe.workbench import (
     ConfigError,
     EXPERIMENTS,
@@ -14,10 +16,17 @@ from twistbethe.workbench import (
     flatten_record,
     parse_csv,
     run,
-    verify,
 )
 from twistbethe.workbench import runner
 from twistbethe.workbench.cli import main
+from twistbethe.workbench.verify import (
+    check_charges,
+    check_einh_signs,
+    check_inhom_vs_ed,
+    check_large_n_consistency,
+    check_operator_identities,
+    check_parity_reversal,
+)
 
 
 def _cfg(tmp_path, **kw):
@@ -235,30 +244,65 @@ def test_cli_fit_subcommand(tmp_path, capsys):
 
 
 def test_cli_verify_fast(tmp_path, capsys):
-    code = main(["verify", "--level", "fast"])
-    out = capsys.readouterr().out
-    assert code == 0
-    assert "OK" in out
-
-
-def test_verify_only_filter():
-    report = verify("fast", only=["thermo-series-identities"])
-    assert report.ok
-    assert len(report.checks) == 1
+    for level, passed in (("fast", "9/9"), ("full", "10/10")):
+        assert main(["verify", "--level", level]) == 0
+        assert f"OK: {passed} checks passed" in capsys.readouterr().out
 
 
 def test_verify_mutation_detected(monkeypatch):
     # the large-N check must read the bulk density through the module
     # attribute so a perturbed implementation is caught
-    clean = verify("full", only=["large-n-bae-consistency"])
-    assert clean.ok
+    assert check_large_n_consistency((200, 201)).ok
+    monkeypatch.setattr(thermo, "e0_density", _offset(1e-6)(thermo.e0_density))
+    assert not check_large_n_consistency((200, 201)).ok
 
-    original = twistbethe.thermo.e0_density
 
-    def skewed(eta, settings=None):
-        return original(eta, settings) + 1e-6
+def _offset(delta):
+    return lambda original: (lambda *a, **k: original(*a, **k) + delta)
 
-    monkeypatch.setattr(twistbethe.thermo, "e0_density", skewed)
-    tainted = verify("full", only=["large-n-bae-consistency"])
-    assert not tainted.ok
-    assert "FAIL" in tainted.summary()
+
+def _scale(factor):
+    return lambda original: (lambda *a, **k: original(*a, **k) * factor)
+
+
+def _rotate_t0_phases(original):
+    def ground_space(*a, **k):
+        gs = original(*a, **k)
+        return dataclasses.replace(gs, t0_eigenvalues=gs.t0_eigenvalues * cmath.exp(1e-8j))
+    return ground_space
+
+
+# (check, its arguments, label, owner, attribute, perturbation) for each
+# check behind criteria 4-9; the e0_density case is the test above
+PERTURBATIONS = [
+    (check_inhom_vs_ed, ((4,),), "energy_inhom + 1e-7", baes, "energy_inhom",
+     _offset(1e-7)),
+    (check_inhom_vs_ed, ((4,),), "tq_eigenvalue * (1 + 1e-7)", baes, "tq_eigenvalue",
+     _scale(1 + 1e-7)),
+    (check_einh_signs, ((8, 10, 12), (7, 9)), "inhom_contribution * -1", baes,
+     "inhom_contribution", _scale(-1.0)),
+    (check_einh_signs, ((8, 10, 12), (7, 9)), "inhom_contribution * N^-2", baes,
+     "inhom_contribution", lambda f: lambda N, *a, **k: f(N, *a, **k) * N ** -2.0),
+    (check_large_n_consistency, ((200, 201),), "hole_quantization_energy + 2e-5",
+     thermo, "hole_quantization_energy", _offset(2e-5)),
+    (check_parity_reversal, ((2.0,), (100, 101)), "twisted_boundary_energy * (1 + 1e-12)",
+     thermo, "twisted_boundary_energy", _scale(1 + 1e-12)),
+    (check_operator_identities, (6, 2), "transfer_matrix at u + 1e-9", model,
+     "transfer_matrix", lambda f: lambda u, params: f(u + 1e-9, params)),
+    (check_operator_identities, (6, 2), "build_hamiltonian at eta + 1e-5", model,
+     "build_hamiltonian",
+     lambda f: lambda params: f(dataclasses.replace(params, eta=params.eta + 1e-5))),
+    (check_charges, ((4,), (5,)), "inhom_contribution + 1e-7", baes,
+     "inhom_contribution", _offset(1e-7)),
+    (check_charges, ((4,), (5,)), "t(0) phases + 1e-8", model, "ground_space",
+     _rotate_t0_phases),
+]
+
+
+@pytest.mark.parametrize("check, args, owner, name, make",
+                         [pytest.param(c, a, o, n, m, id=label)
+                          for c, a, label, o, n, m in PERTURBATIONS])
+def test_check_catches_perturbation(monkeypatch, check, args, owner, name, make):
+    assert check(*args).ok
+    monkeypatch.setattr(owner, name, make(getattr(owner, name)))
+    assert not check(*args).ok
