@@ -18,6 +18,9 @@ Two layers:
   with Newton; exact at any N it can reach, but bound to N <= 12 by the
   ED seed).
 
+Both Newton iterations stop on fixed module constants (NEWTON_TOL,
+NEWTON_MAX_ITER, JACOBI_SWEEPS); no caller tunes them.
+
 Charges (momentum and the three-site charge) are evaluated directly from
 either root set; symmetric root configurations cancel in exact arithmetic
 and are reported as exact zeros.
@@ -38,31 +41,18 @@ from .common import Boundary, Parity
 from .model import ModelParams
 
 
-@dataclass(frozen=True)
-class SolverSettings:
-    """Newton controls shared by both solvers.
-
-    Each Newton step is tried in full first, and the line search halves it
-    from there.  jacobi_sweeps are frozen-interaction scalar prepasses between
-    the decoupled initial guess and the full Newton iteration; each costs
-    one residual evaluation, as much as one line-search trial (O(M K) on
-    the Fourier-mode path, O(M^2) pairwise), and together they make
-    N ~ several hundred converge in a handful of Newton steps.  tol is an
-    absolute residual bound; the log-BAE solver raises it to the float64
-    resolution of its equations where that is larger."""
-
-    tol: float = 1e-12
-    max_iter: int = 200
-    jacobi_sweeps: int = 8
-
-    def __post_init__(self):
-        if not self.tol > 0:
-            raise ValueError("tol must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-
-
-DEFAULT_SETTINGS = SolverSettings()
+# Newton stop of both solvers: an absolute residual bound for the log-BAEs,
+# which solve_log_baes raises to the float64 resolution of its equations
+# where that is larger, and a relative one for the inhomogeneous polish.
+NEWTON_TOL = 1e-12
+# Newton iterations of solve_log_baes before it gives up.
+NEWTON_MAX_ITER = 200
+# Frozen-interaction scalar sweeps between the decoupled initial guess and
+# the full Newton iteration of solve_log_baes.  Each costs one residual
+# evaluation, as much as one line-search trial (O(M K) on the Fourier-mode
+# path, O(M^2) pairwise), and together they make N ~ several hundred
+# converge in a handful of Newton steps.
+JACOBI_SWEEPS = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -376,7 +366,6 @@ def _decoupled_roots(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.
 
 
 def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
-                   settings: SolverSettings = DEFAULT_SETTINGS,
                    x0: np.ndarray | None = None) -> BetheRootsX:
     """Damped Newton on the reduced logarithmic equations
 
@@ -384,10 +373,12 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
 
     (the eta x_j drift only on the twisted chain).  Initial guess: the
     decoupled single-root equations solved by safeguarded Newton
-    (`_decoupled_roots`), sharpened by frozen-interaction scalar sweeps.
-    Newton stops at settings.tol or at 4 ulp of the equations' terms,
-    about 2 pi (N + M), whichever is larger: past N ~ 1000 an absolute
-    1e-12 is below float64 resolution.  Errors carry the last iterate.
+    (`_decoupled_roots`), sharpened by JACOBI_SWEEPS frozen-interaction
+    scalar sweeps.  Each Newton step is tried in full first, and the line
+    search halves it from there.  Newton stops at NEWTON_TOL or at 4 ulp
+    of the equations' terms, about 2 pi (N + M), whichever is larger: past
+    N ~ 1000 an absolute 1e-12 is below float64 resolution; it gives up
+    after NEWTON_MAX_ITER steps.  Errors carry the last iterate.
 
     The interaction sums run over K Fourier modes of theta_2, K from
     `_mode_count(eta, M, N)`, when 2K+1 < M: a residual then costs
@@ -411,15 +402,15 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
             raise ValueError("x0 must have one entry per root")
     else:
         x = _decoupled_roots(eta, N, twice_I, anti)
-        for _ in range(settings.jacobi_sweeps):
+        for _ in range(JACOBI_SWEEPS):
             F = _log_bae_residual(x, eta, N, twice_I, anti, K)
             diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
             x = x - F / diag
 
-    tol = max(settings.tol, 4 * np.finfo(float).eps * 2.0 * math.pi * (N + M))
+    tol = max(NEWTON_TOL, 4 * np.finfo(float).eps * 2.0 * math.pi * (N + M))
     F = _log_bae_residual(x, eta, N, twice_I, anti, K)
     best = np.max(np.abs(F))
-    for it in range(1, settings.max_iter + 1):
+    for it in range(1, NEWTON_MAX_ITER + 1):
         if best < tol:
             x = _fold_window(x, eta)
             F = _log_bae_residual(x, eta, N, twice_I, anti, K)
@@ -444,7 +435,7 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
             raise ConvergenceError("line search stalled", iterate=x, residual=best)
         x, F = xn, Fn
         best = float(np.max(np.abs(F)))
-    raise ConvergenceError(f"no convergence in {settings.max_iter} iterations",
+    raise ConvergenceError(f"no convergence in {NEWTON_MAX_ITER} iterations",
                            iterate=x, residual=best)
 
 
@@ -470,11 +461,10 @@ def energy_hom(roots: BetheRootsX) -> float:
 
 @dataclass
 class InhomBetheRoots:
-    """The N complex roots of the twisted chain's Q-polynomial, with the
-    sum-of-roots scalar entering the inhomogeneous term."""
+    """The N complex roots of the twisted chain's Q-polynomial; their sum
+    enters the inhomogeneous term."""
 
     lam: np.ndarray
-    sum_scalar: complex      # e^{sum(theta) - sum(lambda)}
     residual: float
     N: int
     eta: float
@@ -564,8 +554,7 @@ def _fit_q_linear(P_vals: np.ndarray, zs: np.ndarray, N: int, eta: float):
     return c, fit_res
 
 
-def solve_inhom_baes(params: ModelParams,
-                     settings: SolverSettings = DEFAULT_SETTINGS) -> InhomBetheRoots:
+def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     """ED-seeded solution of the inhomogeneous equations for the twisted
     chain's ground state.
 
@@ -606,17 +595,18 @@ def solve_inhom_baes(params: ModelParams,
     im = lam.imag
     lam = lam.real + 1j * (im - math.pi * np.ceil((im - math.pi / 2) / math.pi - 1e-15))
 
-    lam, res = _polish_inhom(lam, N, eta, settings)
-    return InhomBetheRoots(lam=lam, sum_scalar=cmath.exp(-np.sum(lam)),
-                           residual=res, N=N, eta=eta)
+    lam, res = _polish_inhom(lam, N, eta)
+    return InhomBetheRoots(lam=lam, residual=res, N=N, eta=eta)
 
 
-def _polish_inhom(lam: np.ndarray, N: int, eta: float, settings: SolverSettings):
-    """Damped Newton in C^N on the equation vector, numeric Jacobian."""
+def _polish_inhom(lam: np.ndarray, N: int, eta: float):
+    """Damped Newton in C^N on the equation vector, numeric Jacobian.
+    Stops at a relative residual below NEWTON_TOL; a polish that stalls
+    above 1e-10 raises."""
     h = 1e-7
     best = bae_relative_residual(lam, N, eta)
     for _ in range(60):
-        if best < settings.tol:
+        if best < NEWTON_TOL:
             break
         F = _bae_residual_vec(lam, N, eta)
         J = np.empty((N, N), dtype=complex)
@@ -640,7 +630,7 @@ def _polish_inhom(lam: np.ndarray, N: int, eta: float, settings: SolverSettings)
             t *= 0.5
         else:
             break
-    if best > max(settings.tol, 1e-10):
+    if best > 1e-10:
         raise ConvergenceError(f"polish stalled at relative residual {best:.2e}",
                                iterate=lam, residual=best)
     return lam, best
@@ -746,9 +736,7 @@ def charge_from_roots(order: str, roots) -> complex:
 # inhomogeneous contribution (reduced minus exact)
 
 
-def inhom_contribution(N: int, eta: float, observable: str,
-                       settings: SolverSettings = DEFAULT_SETTINGS, *,
-                       seed: int = 0):
+def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
     """Contribution of the inhomogeneous term to a ground-state observable:
     the reduced (homogeneous) value from the ground quantum numbers minus
     the exact value.
@@ -769,7 +757,7 @@ def inhom_contribution(N: int, eta: float, observable: str,
         raise ValueError("exact value needs ED; N <= 20")
     boundary = Boundary.ANTIPERIODIC
     qn = ground_quantum_numbers(N, boundary)
-    roots = solve_log_baes(eta, N, qn, settings)
+    roots = solve_log_baes(eta, N, qn)
 
     if key == "energy":
         e_hom = energy_hom(roots)

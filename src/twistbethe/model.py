@@ -18,10 +18,11 @@ H and H2 commute with the parity P = prod sigma^z on both boundaries, and
 are held as their two P blocks, each on 2^(N-1) basis states; no 2^N CSR
 matrix is built for them.  ED solves the blocks one at a time: dense eigh
 up to DENSE_SECTOR_MAX states per block, ARPACK above, which carries the
-spectrum to N = 20.  Where a basis permutation commutes with the operator
-and flips P (t(0) on the twisted chain; the global spin flip for H on the
-periodic chain at odd N) the odd block is the even one re-indexed: only
-the even block is built and solved, and its levels count twice.  A dense
+spectrum to N = ITERATIVE_MAX = 20; H and H2 are refused above it.  Where
+a basis permutation commutes with the operator and flips P (t(0) on the
+twisted chain; the global spin flip for H on the periodic chain at odd
+N) the odd block is the even one re-indexed: only the even block is
+built and solved, and its levels count twice.  A dense
 2^N matrix is derived on demand only for N <= 12, a size chosen for 5 GB
 class hardware.
 """
@@ -159,8 +160,14 @@ def _pauli_csr(N: int, terms, mirror=None) -> _ParityBlocks:
     bits, with amplitude coeff * i^(number of Y) * (-1)^(number of set bits
     of s under Y and Z).  Strings sharing a flip pattern are summed in the
     order given and zero amplitudes dropped.  The blocks are real when
-    every coeff * i^(number of Y) is.  `mirror` is passed on to
-    `_ParityBlocks`, and defers the odd block."""
+    every coeff * i^(number of Y) is.  `mirror`, a function of N that
+    returns the basis permutation, is called once N is admitted; its result
+    is passed on to `_ParityBlocks`, and defers the odd block.
+
+    Refuses N > ITERATIVE_MAX before anything of size 2^N is allocated:
+    every operator built here feeds ED, which stops there."""
+    if N > ITERATIVE_MAX:
+        raise ValueError(f"N={N} exceeds the ED limit N <= {ITERATIVE_MAX}")
     half = 1 << (N - 1)
     by_flip = {}
     for coeff, ops in terms:
@@ -217,7 +224,7 @@ def _pauli_csr(N: int, terms, mirror=None) -> _ParityBlocks:
         block.sort_indices()
         return block
 
-    return _ParityBlocks(build, states, mirror)
+    return _ParityBlocks(build, states, None if mirror is None else mirror(N))
 
 
 def _bonds(params: ModelParams):
@@ -243,12 +250,17 @@ def build_hamiltonian(params: ModelParams) -> ChainOperator:
     # t(0) on the twisted chain and, at odd N, the global spin flip on the
     # periodic one commute with H and flip P
     if params.boundary is Boundary.ANTIPERIODIC:
-        mirror = _rotation_index(N)
+        mirror = _rotation_index
     elif N % 2:
-        mirror = np.arange(1 << N, dtype=np.int32) ^ np.int32((1 << N) - 1)
+        mirror = _spin_flip_index
     else:
         mirror = None
     return ChainOperator(N, _pauli_csr(N, terms, mirror), hermitian=True)
+
+
+def _spin_flip_index(N: int) -> np.ndarray:
+    """Index of the globally spin-flipped basis state."""
+    return np.arange(1 << N, dtype=np.int32) ^ np.int32((1 << N) - 1)
 
 
 def _rotation_index(N: int) -> np.ndarray:
@@ -304,7 +316,7 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
                     coeff = coeff if pauli == "X" else -coeff
                 ops.append((site, pauli))
             terms.append((coeff, tuple(ops)))
-    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index(N)), hermitian=True)
+    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index), hermitian=True)
 
 
 class _TransferContraction:

@@ -10,14 +10,13 @@ one ground-state hole follows from an analytic quantization condition.
 
 All sums are written in overflow-safe form (only exp of negative
 arguments appears) and truncate once a term's envelope drops below
-``SeriesSettings.term_tol``, so they are usable down to the small-eta
-guard without float64 overflow at large k.
+``TERM_TOL``, so they are usable down to the small-eta guard ``ETA_MIN``
+without float64 overflow at large k.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.optimize
@@ -29,43 +28,41 @@ from .common import Boundary, Parity
 # k-sums converge too slowly to be worth brute-forcing.
 XXX_LIMIT = 1.0 - 4.0 * math.log(2.0)
 
-
-@dataclass(frozen=True)
-class SeriesSettings:
-    """Truncation control for the k-series.
-
-    max_terms of None resolves to ceil(40/eta) + 50 at evaluation time,
-    enough for < 1e-14 absolute truncation error of the slowest series
-    (terms ~ e^{-eta k}) at any eta above the guard.
-    """
-
-    term_tol: float = 1e-15
-    max_terms: int | None = None
-    eta_min: float = 1e-4
-
-    def __post_init__(self):
-        if not self.term_tol > 0:
-            raise ValueError("term_tol must be positive")
-        if self.max_terms is not None and self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
-
-    def n_terms(self, eta: float) -> int:
-        if self.max_terms is not None:
-            return self.max_terms
-        return math.ceil(40.0 / eta) + 50
+# A k-series stops after the first term whose envelope is below TERM_TOL:
+# the remaining tail is then below float64 resolution of the O(1) sums.
+TERM_TOL = 1e-15
+# Below ETA_MIN the slowest series (terms ~ e^{-eta k}) needs more than
+# 400000 terms; the eta -> 0 energy density is served as XXX_LIMIT instead.
+ETA_MIN = 1e-4
 
 
-DEFAULT_SETTINGS = SeriesSettings()
+def _max_terms(eta: float) -> int:
+    """Term budget of a k-series: enough for < 1e-14 absolute truncation
+    error of the slowest series (terms ~ e^{-eta k}) at any eta >= ETA_MIN."""
+    return math.ceil(40.0 / eta) + 50
 
 
-def _check_eta(eta: float, settings: SeriesSettings) -> None:
+def _check_eta(eta: float) -> None:
     if not eta > 0:
         raise ValueError("eta must be positive (massive regime)")
-    if eta < settings.eta_min:
+    if eta < ETA_MIN:
         raise ValueError(
-            f"eta={eta} below series guard {settings.eta_min}; "
+            f"eta={eta} below series guard {ETA_MIN}; "
             f"use the XXX_LIMIT constant for the eta -> 0 energy density"
         )
+
+
+def _k_series(eta: float, term) -> float:
+    """fsum over k = 1, 2, ... of the values of term(k) -> (value, envelope),
+    up to and including the first term whose envelope is below TERM_TOL,
+    and at most _max_terms(eta) terms."""
+    values = []
+    for k in range(1, _max_terms(eta) + 1):
+        value, envelope = term(k)
+        values.append(value)
+        if envelope < TERM_TOL:
+            break
+    return math.fsum(values)
 
 
 def _sech(a: float) -> float:
@@ -93,75 +90,67 @@ def kernel_a(m: int, x, eta: float):
     return out if out.ndim else float(out)
 
 
-def e0_density(eta: float, settings: SeriesSettings = DEFAULT_SETTINGS) -> float:
+def e0_density(eta: float) -> float:
     """Ground-state energy density e0(eta) of the periodic chain.
 
     e0 = -8 sinh(eta) sum_{k>=1} 1/(1+e^{2 eta k}) - 2 sinh(eta) + cosh(eta).
     """
-    _check_eta(eta, settings)
-    terms = []
-    for k in range(1, settings.n_terms(eta) + 1):
+    _check_eta(eta)
+
+    def term(k):
         e = math.exp(-2.0 * eta * k)
         t = e / (1.0 + e)  # = 1/(1+e^{2 eta k})
-        terms.append(t)
-        if t < settings.term_tol:
-            break
-    s = math.fsum(terms)
+        return t, t
+
+    s = _k_series(eta, term)
     return -8.0 * math.sinh(eta) * s - 2.0 * math.sinh(eta) + math.cosh(eta)
 
 
-def hole_energy(x0: float, eta: float,
-                settings: SeriesSettings = DEFAULT_SETTINGS) -> float:
+def hole_energy(x0: float, eta: float) -> float:
     """Energy e_h(x0) of one hole at rapidity x0 in the ground-state root sea.
 
     Real cosine form of the two-sided sum:
     e_h = 4 sinh(eta) [1/2 + sum_{k>=1} cos(k eta x0)/cosh(eta k)].
     The hole position must lie in the fundamental window [-pi/eta, pi/eta].
     """
-    _check_eta(eta, settings)
+    _check_eta(eta)
     if abs(x0) > math.pi / eta * (1.0 + 1e-12):
         raise ValueError(f"hole position {x0} outside [-pi/eta, pi/eta]")
-    terms = []
-    for k in range(1, settings.n_terms(eta) + 1):
+
+    def term(k):
         env = _sech(eta * k)
-        terms.append(math.cos(k * eta * x0) * env)
-        if env < settings.term_tol:
-            break
-    return 4.0 * math.sinh(eta) * (0.5 + math.fsum(terms))
+        return math.cos(k * eta * x0) * env, env
+
+    return 4.0 * math.sinh(eta) * (0.5 + _k_series(eta, term))
 
 
-def twisted_boundary_energy(eta: float, parity,
-                            settings: SeriesSettings = DEFAULT_SETTINGS) -> float:
+def twisted_boundary_energy(eta: float, parity) -> float:
     """Ground-energy difference (twisted minus periodic) at matched parity.
 
     Even N: E_b = 4 sinh(eta) sum_{k>=1} (-1)^k / cosh(eta k) + 2 sinh(eta),
     which is positive; odd N carries the opposite sign.  Coincides with
     e_h(pi/eta) term by term.
     """
-    _check_eta(eta, settings)
+    _check_eta(eta)
     parity = Parity.coerce(parity)
-    terms = []
-    sign = -1.0
-    for k in range(1, settings.n_terms(eta) + 1):
+
+    def term(k):
         env = _sech(eta * k)
-        terms.append(sign * env)
-        sign = -sign
-        if env < settings.term_tol:
-            break
-    eb = 4.0 * math.sinh(eta) * math.fsum(terms) + 2.0 * math.sinh(eta)
+        return (-1.0) ** k * env, env
+
+    eb = 4.0 * math.sinh(eta) * _k_series(eta, term) + 2.0 * math.sinh(eta)
     return eb if parity is Parity.EVEN else -eb
 
 
-def excitation_gap_tl(eta: float, parity,
-                      settings: SeriesSettings = DEFAULT_SETTINGS) -> float:
+def excitation_gap_tl(eta: float, parity) -> float:
     """Thermodynamic-limit gap of the twisted chain: 0 for even N (the hole
     can move to the band edge at no cost), 2 e_h(pi/eta) for odd N (the
     lowest excitation creates two holes, each at a band edge)."""
-    _check_eta(eta, settings)
+    _check_eta(eta)
     parity = Parity.coerce(parity)
     if parity is Parity.EVEN:
         return 0.0
-    return 2.0 * hole_energy(math.pi / eta, eta, settings)
+    return 2.0 * hole_energy(math.pi / eta, eta)
 
 
 def _has_hole(N: int, boundary: Boundary) -> bool:
@@ -169,8 +158,7 @@ def _has_hole(N: int, boundary: Boundary) -> bool:
     return (boundary is Boundary.ANTIPERIODIC) == (Parity.of(N) is Parity.EVEN)
 
 
-def ground_energy_tl(N: int, eta: float, boundary,
-                     settings: SeriesSettings = DEFAULT_SETTINGS) -> float:
+def ground_energy_tl(N: int, eta: float, boundary) -> float:
     """N -> infinity band-edge table: e0*N, plus e_h(pi/eta) for the
     (boundary, parity) combinations whose ground state carries one hole
     (twisted even N and periodic odd N), placed at the band edge.
@@ -182,27 +170,24 @@ def ground_energy_tl(N: int, eta: float, boundary,
     table itself is exactly linear in N with the band-edge hole, which is
     what makes (anti - per) = +-E_b hold identically."""
     boundary = Boundary.coerce(boundary)
-    e = e0_density(eta, settings) * N
+    e = e0_density(eta) * N
     if _has_hole(N, boundary):
-        e += hole_energy(math.pi / eta, eta, settings)
+        e += hole_energy(math.pi / eta, eta)
     return e
 
 
-def _edge_count(delta: float, eta: float, settings: SeriesSettings) -> float:
+def _edge_count(delta: float, eta: float) -> float:
     """2 pi [Z(pi/eta) - Z(pi/eta - delta)] for the bulk counting function
     Z(x) = int_0^x rho_inf: eta delta/2 + sum_k (-1)^k sin(k eta delta)/(k cosh(eta k))."""
-    terms = []
-    sign = -1.0
-    for k in range(1, settings.n_terms(eta) + 1):
+
+    def term(k):
         env = _sech(eta * k)
-        terms.append(sign * math.sin(k * eta * delta) * env / k)
-        sign = -sign
-        if env < settings.term_tol:
-            break
-    return 0.5 * eta * delta + math.fsum(terms)
+        return (-1.0) ** k * math.sin(k * eta * delta) * env / k, env
+
+    return 0.5 * eta * delta + _k_series(eta, term)
 
 
-def _slot_sum_decay_rate(eta: float, settings: SeriesSettings) -> float:
+def _slot_sum_decay_rate(eta: float) -> float:
     """Rate c(eta) at which replacing root sums by integrals over the
     ground-state density stops being exact: corrections ~ e^{-c N}.
 
@@ -211,15 +196,12 @@ def _slot_sum_decay_rate(eta: float, settings: SeriesSettings) -> float:
     c = eta/2 - ln 2 + 2 sum_{k>=1} (-1)^{k+1} / (k (1 + e^{2 eta k})).
     It tends to 4 e^{-pi^2/(2 eta)} as eta -> 0 and to eta/2 - ln 2 at large
     eta (0.0288 at eta = 1, 0.342 at eta = 2)."""
-    terms = []
-    sign = 1.0
-    for k in range(1, settings.n_terms(eta) + 1):
+
+    def term(k):
         e = math.exp(-2.0 * eta * k)
-        terms.append(sign * e / (k * (1.0 + e)))
-        sign = -sign
-        if e < settings.term_tol:
-            break
-    return 0.5 * eta - math.log(2.0) + 2.0 * math.fsum(terms)
+        return (-1.0) ** (k + 1) * e / (k * (1.0 + e)), e
+
+    return 0.5 * eta - math.log(2.0) + 2.0 * _k_series(eta, term)
 
 
 # e-folds by which the finite-size corrections sinh(eta) e^{-c N} must lie
@@ -227,8 +209,7 @@ def _slot_sum_decay_rate(eta: float, settings: SeriesSettings) -> float:
 _RANGE_EFOLDS = 16.0
 
 
-def hole_quantization_energy(N: int, eta: float, boundary,
-                             settings: SeriesSettings = DEFAULT_SETTINGS) -> float:
+def hole_quantization_energy(N: int, eta: float, boundary) -> float:
     """Finite-N energy of the ground-state hole above its band-edge value,
     e_h(x_h) - e_h(pi/eta); exactly 0.0 for the hole-free ground states
     (twisted odd N, periodic even N).
@@ -262,9 +243,9 @@ def hole_quantization_energy(N: int, eta: float, boundary,
     that N, the worst deviation was 3e-8 for 0.8 <= eta <= 16 and 5e-7 (float
     rounding) at eta = 20.
     """
-    _check_eta(eta, settings)
+    _check_eta(eta)
     boundary = Boundary.coerce(boundary)
-    rate = _slot_sum_decay_rate(eta, settings)
+    rate = _slot_sum_decay_rate(eta)
     if eta > 20.0 or rate * N < math.log(math.sinh(eta)) + _RANGE_EFOLDS:
         raise ValueError(
             f"N={N}, eta={eta} outside the range of the hole-quantization "
@@ -275,15 +256,15 @@ def hole_quantization_energy(N: int, eta: float, boundary,
     drift = eta / (4.0 * math.pi) if boundary is Boundary.ANTIPERIODIC else 0.0
 
     def condition(delta):
-        return N * _edge_count(delta, eta, settings) / (2.0 * math.pi) + drift * delta - 0.25
+        return N * _edge_count(delta, eta) / (2.0 * math.pi) + drift * delta - 0.25
 
     edge = math.pi / eta
     delta = scipy.optimize.brentq(condition, 0.0, edge, xtol=1e-15)
-    return hole_energy(edge - delta, eta, settings) - hole_energy(edge, eta, settings)
+    return hole_energy(edge - delta, eta) - hole_energy(edge, eta)
 
 
-def density_fourier(k: int, N: int, eta: float, boundary, x0: float | None = None,
-                    settings: SeriesSettings = DEFAULT_SETTINGS) -> complex:
+def density_fourier(k: int, N: int, eta: float, boundary,
+                    x0: float | None = None) -> complex:
     """Fourier mode rho~(k) of the finite-N ground-state root density.
 
     Four cases.  Twisted even and periodic odd carry one hole at x0 (must
@@ -291,7 +272,7 @@ def density_fourier(k: int, N: int, eta: float, boundary, x0: float | None = Non
     omitted).  The twisted chain additionally carries a 1/N zero-mode from
     the eta*x term of its counting function.
     """
-    _check_eta(eta, settings)
+    _check_eta(eta)
     boundary = Boundary.coerce(boundary)
     has_hole = _has_hole(N, boundary)
     if has_hole and x0 is None:
@@ -312,8 +293,8 @@ def density_fourier(k: int, N: int, eta: float, boundary, x0: float | None = Non
     return val
 
 
-def energy_via_density(N: int, eta: float, boundary, x0: float | None = None,
-                       settings: SeriesSettings = DEFAULT_SETTINGS) -> float:
+def energy_via_density(N: int, eta: float, boundary,
+                       x0: float | None = None) -> float:
     """Parseval cross-check: contract the density modes with the kernel image.
 
     E = -4 N sinh(eta) sum_k e^{-eta|k|} rho~(-k) + N cosh(eta)
@@ -323,15 +304,15 @@ def energy_via_density(N: int, eta: float, boundary, x0: float | None = None,
     as an independent code path for the verification suite, not used in
     production.
     """
-    _check_eta(eta, settings)
+    _check_eta(eta)
     boundary = Boundary.coerce(boundary)
-    kmax = settings.n_terms(eta)
+    kmax = _max_terms(eta)
     total = 0.0 + 0.0j
     for k in range(-kmax, kmax + 1):
         env = math.exp(-eta * abs(k))
-        if env < settings.term_tol and k != 0:
+        if env < TERM_TOL and k != 0:
             continue
-        total += env * density_fourier(-k, N, eta, boundary, x0, settings)
+        total += env * density_fourier(-k, N, eta, boundary, x0)
     e = -4.0 * N * math.sinh(eta) * total + N * math.cosh(eta)
     if boundary is Boundary.ANTIPERIODIC:
         e += 2.0 * math.sinh(eta)

@@ -3,12 +3,10 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..common import Boundary
-from ..baes import SolverSettings
-from ..thermo import SeriesSettings
 
 __all__ = ["EXPERIMENTS", "ConfigError", "ExperimentConfig", "load_config_file"]
 
@@ -50,7 +48,7 @@ def coerce_experiment(name) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment sweep: grid, physical parameters, solver knobs, output.
+    """One experiment sweep: grid, physical parameters, output, ARPACK seed.
 
     ``eta`` may be a single value or a list (swept); ``N_list`` must be
     nonempty and ascending.
@@ -60,8 +58,6 @@ class ExperimentConfig:
     eta: object = 2.0
     N_list: tuple = (4, 6, 8)
     boundary: str = "antiperiodic"
-    solver: SolverSettings = field(default_factory=SolverSettings)
-    series: SeriesSettings = field(default_factory=SeriesSettings)
     output_dir: str = "results"
     seed: int = 0
 
@@ -92,17 +88,6 @@ class ExperimentConfig:
         if list(ns) != sorted(ns):
             raise ConfigError("N_list must be ascending")
         self.N_list = ns
-
-        if isinstance(self.solver, dict):
-            try:
-                self.solver = SolverSettings(**self.solver)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad solver settings: {exc}") from None
-        if isinstance(self.series, dict):
-            try:
-                self.series = SeriesSettings(**self.series)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"bad series settings: {exc}") from None
 
         self.output_dir = str(self.output_dir)
         self.seed = int(self.seed)

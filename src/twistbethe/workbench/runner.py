@@ -1,8 +1,8 @@
 """Experiment orchestration: sweep grids, per-point JSON cache, records.
 
 Each sweep point is computed once and cached as a JSON file keyed by a
-hash of the experiment name, its full parameter set (solver and series
-settings included) and a digest of the package sources, so interrupted
+hash of the experiment name, its full parameter set and a digest of the
+package sources, so interrupted
 sweeps resume, repeated runs are byte-identical, and a point computed by
 different code is never served.  Point failures are recorded with an
 error status and never abort the sweep.
@@ -17,7 +17,7 @@ import json
 import math
 import os
 import tempfile
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -107,12 +107,10 @@ def _source_digest() -> str:
     return h.hexdigest()
 
 
-def _point_key(experiment: str, params: dict, config: ExperimentConfig) -> str:
+def _point_key(experiment: str, params: dict) -> str:
     payload = {
         "experiment": experiment,
         "params": _canonical(params),
-        "solver": _canonical(asdict(config.solver)),
-        "series": _canonical(asdict(config.series)),
         "version": __version__,
         "sources": _source_digest(),
     }
@@ -141,24 +139,24 @@ def _write_atomic(path: Path, text: str) -> None:
 # experiment bodies; each returns a dict of named scalars
 
 
-def _first_gap(eigenvalues, tol: float = 1e-8) -> float:
-    e0 = eigenvalues[0]
-    for e in eigenvalues[1:]:
-        if e - e0 > tol:
-            return float(e - e0)
-    return 0.0
+def _low_spectrum(cfg: ExperimentConfig, eta: float, N: int):
+    """The lowest min(6, 2^N) levels of H, and the gap from the ground level
+    to the first level more than 1e-8 above it (0.0 if none is)."""
+    params = model.ModelParams(N=N, eta=eta, boundary=cfg.boundary)
+    spec = model.ed_spectrum(model.build_hamiltonian(params), min(6, params.dim),
+                             seed=cfg.seed)
+    e0 = spec.eigenvalues[0]
+    gap = next((float(e - e0) for e in spec.eigenvalues[1:] if e - e0 > 1e-8), 0.0)
+    return spec, gap
 
 
 def _exp_ed_spectrum(cfg: ExperimentConfig, eta: float, N: int) -> dict:
-    params = model.ModelParams(N=N, eta=eta, boundary=cfg.boundary)
-    H = model.build_hamiltonian(params)
-    count = min(6, params.dim)
-    spec = model.ed_spectrum(H, count, seed=cfg.seed)
-    evs = spec.eigenvalues
+    spec, gap = _low_spectrum(cfg, eta, N)
+    e0 = spec.eigenvalues[0]
     return {
-        "e0": float(evs[0]),
-        "e0_per_site": float(evs[0] / N),
-        "gap": _first_gap(evs),
+        "e0": float(e0),
+        "e0_per_site": float(e0 / N),
+        "gap": gap,
         "g0_degeneracy": int(spec.degeneracies[0]),
         "method": spec.method,
     }
@@ -166,7 +164,7 @@ def _exp_ed_spectrum(cfg: ExperimentConfig, eta: float, N: int) -> dict:
 
 def _exp_solve_hom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
     qn = baes.ground_quantum_numbers(N, cfg.boundary)
-    roots = baes.solve_log_baes(eta, N, qn, cfg.solver)
+    roots = baes.solve_log_baes(eta, N, qn)
     energy = baes.energy_hom(roots)
     return {
         "M": int(roots.M),
@@ -181,7 +179,7 @@ def _exp_solve_hom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
 
 def _exp_solve_inhom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
     params = model.ModelParams(N=N, eta=eta, boundary=Boundary.ANTIPERIODIC)
-    roots = baes.solve_inhom_baes(params, settings=cfg.solver)
+    roots = baes.solve_inhom_baes(params)
     energy = baes.energy_inhom(roots, params)
     ed = model.ed_spectrum(model.build_hamiltonian(params), 1,
                            seed=cfg.seed).eigenvalues[0]
@@ -190,13 +188,13 @@ def _exp_solve_inhom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
         "ed_energy": float(ed),
         "abs_defect": float(abs(energy - ed)),
         "residual": float(roots.residual),
-        "root_sum_re": float(np.sum(roots.lam).real),
-        "root_sum_im": float(np.sum(roots.lam).imag),
+        "root_sum_re": roots.root_sum.real,
+        "root_sum_im": roots.root_sum.imag,
     }
 
 
 def _exp_einh_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
-    e_inh = baes.inhom_contribution(N, eta, "Energy", cfg.solver, seed=cfg.seed)
+    e_inh = baes.inhom_contribution(N, eta, "Energy", seed=cfg.seed)
     return {
         "e_inh": float(e_inh),
         "e_inh_over_cosh": float(e_inh / math.cosh(eta)),
@@ -216,11 +214,7 @@ def _exp_boundary_energy_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict
 
 
 def _exp_gap_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
-    params = model.ModelParams(N=N, eta=eta, boundary=cfg.boundary)
-    H = model.build_hamiltonian(params)
-    count = min(6, params.dim)
-    spec = model.ed_spectrum(H, count, seed=cfg.seed)
-    gap = _first_gap(spec.eigenvalues)
+    spec, gap = _low_spectrum(cfg, eta, N)
     return {
         "e0": float(spec.eigenvalues[0]),
         "gap": gap,
@@ -233,8 +227,8 @@ def _exp_charge_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
     params = model.ModelParams(N=N, eta=eta, boundary=Boundary.ANTIPERIODIC)
     gs = model.ground_space(params, seed=cfg.seed)
     momenta = sorted((cmath.log(complex(ev)).imag for ev in gs.t0_eigenvalues))
-    p_inh = baes.inhom_contribution(N, eta, "Momentum", cfg.solver, seed=cfg.seed)
-    h2_inh = baes.inhom_contribution(N, eta, "ChargeH2", cfg.solver, seed=cfg.seed)
+    p_inh = baes.inhom_contribution(N, eta, "Momentum", seed=cfg.seed)
+    h2_inh = baes.inhom_contribution(N, eta, "ChargeH2", seed=cfg.seed)
     return {
         "p_im_low": float(momenta[0]),
         "p_im_high": float(momenta[1]),
@@ -244,9 +238,9 @@ def _exp_charge_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
 
 
 def _exp_thermo(cfg: ExperimentConfig, eta: float, N: int | None) -> dict:
-    e0 = thermo.e0_density(eta, cfg.series)
-    e_b = thermo.twisted_boundary_energy(eta, Parity.EVEN, cfg.series)
-    gap = thermo.excitation_gap_tl(eta, Parity.ODD, cfg.series)
+    e0 = thermo.e0_density(eta)
+    e_b = thermo.twisted_boundary_energy(eta, Parity.EVEN)
+    gap = thermo.excitation_gap_tl(eta, Parity.ODD)
     ch = math.cosh(eta)
     return {
         "e0": float(e0),
@@ -255,7 +249,7 @@ def _exp_thermo(cfg: ExperimentConfig, eta: float, N: int | None) -> dict:
         "e_b_over_cosh": float(e_b / ch),
         "gap": float(gap),
         "gap_over_cosh": float(gap / ch),
-        "e_h_band_edge": float(thermo.hole_energy(math.pi / eta, eta, cfg.series)),
+        "e_h_band_edge": float(thermo.hole_energy(math.pi / eta, eta)),
     }
 
 
@@ -312,7 +306,7 @@ def run(config: ExperimentConfig, *, force: bool = False) -> list[ResultRecord]:
     records = []
     for params, body in _grid(config):
         path = _cache_path(config, config.experiment,
-                           _point_key(config.experiment, params, config))
+                           _point_key(config.experiment, params))
         if not force and path.exists():
             try:
                 records.append(ResultRecord.from_dict(

@@ -10,7 +10,6 @@ from twistbethe import baes, thermo
 from twistbethe.baes import (
     ConvergenceError,
     QuantumNumbers,
-    SolverSettings,
     charge_from_roots,
     counting_function,
     energy_hom,
@@ -218,11 +217,13 @@ def test_ground_states_at_ten_thousand_sites():
                 assert roots.residual < 1e-9
 
 
-def test_solver_convergence_error_carries_iterate():
+def test_solver_convergence_error_carries_iterate(monkeypatch):
     qn = ground_quantum_numbers(8, Boundary.ANTIPERIODIC)
-    tight = SolverSettings(tol=1e-15, max_iter=1, jacobi_sweeps=0)
+    monkeypatch.setattr(baes, "NEWTON_TOL", 1e-15)
+    monkeypatch.setattr(baes, "NEWTON_MAX_ITER", 1)
+    monkeypatch.setattr(baes, "JACOBI_SWEEPS", 0)
     with pytest.raises(ConvergenceError) as err:
-        solve_log_baes(ETA, 8, qn, tight)
+        solve_log_baes(ETA, 8, qn)
     assert err.value.iterate is not None
     assert len(err.value.iterate) == qn.M
 
@@ -307,10 +308,3 @@ def test_momentum_of_symmetric_set_is_exact():
     assert p in (complex(0.0), complex(0.0, math.pi))  # exact, not approximate
     with pytest.raises(ValueError):
         charge_from_roots("e0", roots)  # e0 names the ground energy, not a charge
-
-
-def test_settings_validation():
-    with pytest.raises(ValueError):
-        SolverSettings(tol=-1.0)
-    with pytest.raises(ValueError):
-        SolverSettings(max_iter=0)

@@ -1,6 +1,5 @@
 """Inhomogeneous T-Q pipeline: root finding, reconstruction, charges."""
 
-import cmath
 import math
 
 import numpy as np
@@ -8,7 +7,6 @@ import pytest
 
 from twistbethe import baes
 from twistbethe.baes import (
-    SolverSettings,
     bae_relative_residual,
     charge_from_roots,
     energy_inhom,
@@ -67,13 +65,6 @@ def test_root_count_and_residual_definition():
         roots.residual, rel=1e-6)
     # imaginary parts live on the principal strip
     assert np.all(np.abs(roots.lam.imag) <= math.pi / 2 + 1e-12)
-
-
-def test_sum_scalar_consistency():
-    # the scalar entering the extra term is exp(-sum of roots)
-    params, roots = _solve(4)
-    assert roots.sum_scalar == pytest.approx(
-        cmath.exp(-roots.root_sum), abs=1e-10)
 
 
 def test_contribution_signs():

@@ -270,6 +270,8 @@ def test_h2_charge_contract():
     assert np.linalg.norm(T @ H2 - H2 @ T) < 1e-9
     with pytest.raises(ValueError):
         build_h2_charge(ModelParams(2, ETA, "anti"))
+    with pytest.raises(ValueError, match="ED limit"):
+        build_h2_charge(ModelParams(model.ITERATIVE_MAX + 1, ETA, "anti"))
     # past DENSE_MAX, by matvec on a unit vector
     params = ModelParams(DENSE_MAX + 2, ETA, "anti")
     H, H2 = build_hamiltonian(params), build_h2_charge(params)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from twistbethe import thermo
 from twistbethe.common import Boundary, Parity
 from twistbethe.thermo import (
     XXX_LIMIT,
-    SeriesSettings,
     density_fourier,
     e0_density,
     energy_via_density,
@@ -96,15 +96,17 @@ def test_hole_energy_minimal_at_band_edge():
     assert all(v > edge for v in interior)
 
 
-def test_series_truncation_stability():
+def test_series_truncation_stability(monkeypatch):
     # doubling the term budget does not move the sums
-    tight = SeriesSettings(max_terms=400)
-    loose = SeriesSettings(max_terms=200)
-    for eta in (0.3, 1.0, 2.5):
-        assert e0_density(eta, tight) == pytest.approx(
-            e0_density(eta, loose), abs=1e-13)
-        assert twisted_boundary_energy(eta, Parity.EVEN, tight) == pytest.approx(
-            twisted_boundary_energy(eta, Parity.EVEN, loose), abs=1e-13)
+    etas = (0.3, 1.0, 2.5)
+    sums = {}
+    for budget in (400, 200):
+        monkeypatch.setattr(thermo, "_max_terms", lambda eta, n=budget: n)
+        sums[budget] = [(e0_density(eta), twisted_boundary_energy(eta, Parity.EVEN))
+                        for eta in etas]
+    for (e0_tight, eb_tight), (e0_loose, eb_loose) in zip(sums[400], sums[200]):
+        assert e0_tight == pytest.approx(e0_loose, abs=1e-13)
+        assert eb_tight == pytest.approx(eb_loose, abs=1e-13)
 
 
 def test_xxx_limit():

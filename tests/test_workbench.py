@@ -3,7 +3,9 @@
 import cmath
 import dataclasses
 import json
+import time
 
+import numpy as np
 import pytest
 
 from twistbethe import baes, model, thermo
@@ -57,6 +59,10 @@ def test_config_rejects_bad_input(tmp_path):
         _cfg(tmp_path, boundary="moebius")
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="Fit")  # unknown: fits run via `twistbethe fit`
+    # the solver and series numerics are fixed; a config cannot set them
+    for key in ("solver", "series"):
+        with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict({"experiment": "GapScan", key: {}})
 
 
 def test_from_dict_overrides(tmp_path):
@@ -90,10 +96,10 @@ def test_point_key_tracks_sources(tmp_path, monkeypatch):
     # a cached point is served only to the code that computed it
     cfg = _cfg(tmp_path)
     params = {"eta": 2.0, "N": 4}
-    key = runner._point_key(cfg.experiment, params, cfg)
-    assert runner._point_key(cfg.experiment, params, cfg) == key
+    key = runner._point_key(cfg.experiment, params)
+    assert runner._point_key(cfg.experiment, params) == key
     monkeypatch.setattr(runner, "_source_digest", lambda: "0" * 64)
-    assert runner._point_key(cfg.experiment, params, cfg) != key
+    assert runner._point_key(cfg.experiment, params) != key
 
 
 def test_corrupt_cache_recomputed(tmp_path):
@@ -115,6 +121,14 @@ def test_solve_hom_records_mode_count(tmp_path):
     assert small["iterations"] >= 1 and large["residual"] < 1e-9
 
 
+def test_solve_inhom_record_reports_root_sum(tmp_path):
+    # the sum of the roots, which enters the inhomogeneous term
+    record = run(_cfg(tmp_path, experiment="SolveInhom", N_list=[4]))[0]
+    roots = baes.solve_inhom_baes(model.ModelParams(4, 2.0, "anti"))
+    assert complex(record.outputs["root_sum_re"], record.outputs["root_sum_im"]) \
+        == complex(np.sum(roots.lam))
+
+
 def test_point_error_does_not_abort_sweep(tmp_path):
     cfg = _cfg(tmp_path, experiment="EinhScan", N_list=[4, 22])
     records = run(cfg)
@@ -122,6 +136,19 @@ def test_point_error_does_not_abort_sweep(tmp_path):
     assert records[1].status == "error"
     assert records[1].error  # message retained
     assert records[1].outputs == {}
+
+
+@pytest.mark.parametrize("experiment",
+                         ["EdSpectrum", "GapScan", "BoundaryEnergyScan", "ChargeScan"])
+def test_ed_point_past_the_limit_fails_fast(tmp_path, experiment):
+    # H and H2 are refused above model.ITERATIVE_MAX before a block of
+    # 2^(N-1) states is built
+    N = model.ITERATIVE_MAX + 2
+    t0 = time.perf_counter()
+    records = run(_cfg(tmp_path, experiment=experiment, N_list=[N]))
+    assert time.perf_counter() - t0 < 1.0
+    assert records[0].status == "error"
+    assert "exceeds the ED limit" in records[0].error
 
 
 def test_emit_csv_json_roundtrip(tmp_path):
