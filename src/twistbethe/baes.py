@@ -16,7 +16,11 @@ Two layers:
   twisted chain's Q-polynomial (solved by fitting Q to the
   exact-diagonalization eigenvalue of the transfer matrix, then polishing
   with Newton; exact at any N it can reach, but bound to N <= 12 by the
-  ED seed).
+  ED seed, and short of that where the Q fit on the unit circle misses
+  its 1e-6 gate: at eta = 2, N = 12 and at eta = 3, N >= 9).
+
+Both layers describe the uniform chain: the inhomogeneities of the
+T-Q derivation are zero, and no function takes them.
 
 Both Newton iterations stop on fixed module constants (NEWTON_TOL,
 NEWTON_MAX_ITER, JACOBI_SWEEPS); no caller tunes them.
@@ -365,8 +369,7 @@ def _decoupled_roots(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.
     return x
 
 
-def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
-                   x0: np.ndarray | None = None) -> BetheRootsX:
+def solve_log_baes(eta: float, N: int, qn: QuantumNumbers) -> BetheRootsX:
     """Damped Newton on the reduced logarithmic equations
 
         [eta x_j] + N theta_1(x_j) = 2 pi I_j + sum_k theta_2(x_j - x_k)
@@ -396,16 +399,11 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers,
         return BetheRootsX(np.zeros(0), qn, eta, 0.0, 0, 0)
     K = _mode_count(eta, M, N)
 
-    if x0 is not None:
-        x = np.asarray(x0, dtype=float).copy()
-        if x.shape != (M,):
-            raise ValueError("x0 must have one entry per root")
-    else:
-        x = _decoupled_roots(eta, N, twice_I, anti)
-        for _ in range(JACOBI_SWEEPS):
-            F = _log_bae_residual(x, eta, N, twice_I, anti, K)
-            diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
-            x = x - F / diag
+    x = _decoupled_roots(eta, N, twice_I, anti)
+    for _ in range(JACOBI_SWEEPS):
+        F = _log_bae_residual(x, eta, N, twice_I, anti, K)
+        diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
+        x = x - F / diag
 
     tol = max(NEWTON_TOL, 4 * np.finfo(float).eps * 2.0 * math.pi * (N + M))
     F = _log_bae_residual(x, eta, N, twice_I, anti, K)
@@ -565,8 +563,6 @@ def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     (4) polish with damped Newton on the equations themselves."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("the inhomogeneous equations describe the twisted chain")
-    if any(params.theta):
-        raise ValueError("inhomogeneities must be zero")
     N, eta = params.N, params.eta
     if N > 12:
         raise ValueError("the ED seed caps the inhomogeneous solver at N = 12")
@@ -687,20 +683,17 @@ def _is_symmetric(x: np.ndarray, tol: float = 1e-11) -> bool:
 def charge_from_roots(order: str, roots) -> complex:
     """Momentum or three-site charge evaluated on a root set.
 
-    order "momentum": sum_j [Log sin((eta/2)(x_j - i)) - Log sin((eta/2)(x_j + i))]
+    order "Momentum": sum_j [Log sin((eta/2)(x_j - i)) - Log sin((eta/2)(x_j + i))]
     for real reduced roots, or the sinh form for complex inhomogeneous
-    roots; principal branches, folded mod 2 pi i.  order "h2": the
-    corresponding cot^2/coth^2 sums.
+    roots; principal branches, folded mod 2 pi i.  order "ChargeH2": the
+    corresponding cot^2/coth^2 sums.  Either name in any letter case.
 
     A symmetric reduced set cancels in exact arithmetic and is returned as
     an exact 0 (or exact i pi for momentum when x = 0 is occupied)."""
     key = str(order).strip().lower()
-    if key in ("momentum", "p"):
-        is_momentum = True
-    elif key in ("h2", "chargeh2"):
-        is_momentum = False
-    else:
+    if key not in ("momentum", "chargeh2"):
         raise ValueError(f"unknown charge order: {order!r}")
+    is_momentum = key == "momentum"
 
     if isinstance(roots, BetheRootsX):
         x, eta = roots.x, roots.eta
@@ -741,18 +734,19 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
     the reduced (homogeneous) value from the ground quantum numbers minus
     the exact value.
 
+    `observable` is "Energy", "Momentum" or "ChargeH2", in any letter case.
     Energy: exact value from the lowest ED level (parity-sector ED:
     dense eigh to N = 9, ARPACK to N = 20); positive for even N, negative
     for odd.  Momentum: the exact even-N doublet
     values are +-i pi/2; the reduced value is compared against the member
     it approximates (nearest branch), which makes the defect a smooth
-    single-signed sequence in N; exactly 0 for odd N.  H2: the exact
+    single-signed sequence in N; exactly 0 for odd N.  ChargeH2: the exact
     ground-state value vanishes; even N returns the reduced value against
     the ED doublet expectation, odd N is exactly 0 by root-set symmetry."""
     key = str(observable).strip().lower()
-    if key not in ("energy", "momentum", "p", "h2", "chargeh2"):
+    if key not in ("energy", "momentum", "chargeh2"):
         raise ValueError(f"unknown observable: {observable!r}")
-    needs_ed = key == "energy" or (key in ("h2", "chargeh2") and N % 2 == 0)
+    needs_ed = key == "energy" or (key == "chargeh2" and N % 2 == 0)
     if needs_ed and N > _model.ITERATIVE_MAX:
         raise ValueError("exact value needs ED; N <= 20")
     boundary = Boundary.ANTIPERIODIC
@@ -766,7 +760,7 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
         spec = _model.ed_spectrum(H, 1, seed=seed)
         return float(e_hom - spec.eigenvalues[0])
 
-    if key in ("momentum", "p"):
+    if key == "momentum":
         if N % 2 == 1:
             return complex(0.0)   # exact: both members match {0, i pi} exactly
         p = charge_from_roots("momentum", roots)
@@ -775,7 +769,7 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
 
     if N % 2 == 1:                # H2
         return 0.0                # exact by symmetric-root cancellation
-    h2_hom = charge_from_roots("h2", roots)
+    h2_hom = charge_from_roots("ChargeH2", roots)
     params = ModelParams(N, eta, boundary)
     gs = _model.ground_space(params, seed=seed)
     vplus = gs.branch_vector(1.0j)

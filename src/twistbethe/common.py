@@ -11,10 +11,12 @@ class Boundary(enum.Enum):
 
     @classmethod
     def coerce(cls, value) -> "Boundary":
+        """A Boundary, or "antiperiodic", "anti", "periodic" or "per" in any
+        letter case."""
         if isinstance(value, cls):
             return value
         key = str(value).strip().lower()
-        if key in ("anti", "antiperiodic", "twisted"):
+        if key in ("anti", "antiperiodic"):
             return cls.ANTIPERIODIC
         if key in ("per", "periodic"):
             return cls.PERIODIC
@@ -27,12 +29,13 @@ class Parity(enum.Enum):
 
     @classmethod
     def coerce(cls, value) -> "Parity":
+        """A Parity, or "even" or "odd" in any letter case."""
         if isinstance(value, cls):
             return value
         key = str(value).strip().lower()
-        if key in ("even", "e"):
+        if key == "even":
             return cls.EVEN
-        if key in ("odd", "o"):
+        if key == "odd":
             return cls.ODD
         raise ValueError(f"unknown parity: {value!r}")
 

@@ -4,7 +4,9 @@ Site 1 is the most significant bit of the basis index, so basis state
 |s_1 ... s_N> has index sum_j s_j 2^{N-j} with s=0 for spin up.  The
 twisted chain closes through a spin-x rotation, so its boundary bond is
 sx.sx - sy.sy - cosh(eta) sz.sz while every bulk bond (and every periodic
-bond) is sx.sx + sy.sy + cosh(eta) sz.sz.
+bond) is sx.sx + sy.sy + cosh(eta) sz.sz.  The chain is uniform:
+`ModelParams` is (N, eta, boundary), and the transfer matrix has no
+inhomogeneities (the T-Q derivation's theta_j are zero).
 
 Every operator comes from one of two constructions.  H, the three-site
 charge H2 and t(0) are CSR matrices: H and H2 are sums of Pauli strings
@@ -50,14 +52,12 @@ DEGENERACY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Chain length, anisotropy eta > 0 (Delta = cosh eta), boundary kind,
-    and per-site inhomogeneities (zero in every physical statement; nonzero
-    values only feed transfer-matrix fuzz checks)."""
+    """Chain length, anisotropy eta > 0 (Delta = cosh eta) and boundary kind
+    of the uniform chain."""
 
     N: int
     eta: float
     boundary: Boundary = Boundary.ANTIPERIODIC
-    theta: tuple[float, ...] = ()
 
     def __post_init__(self):
         if self.N < 2:
@@ -65,10 +65,6 @@ class ModelParams:
         if not self.eta > 0:
             raise ValueError("eta must be positive (massive regime)")
         object.__setattr__(self, "boundary", Boundary.coerce(self.boundary))
-        th = tuple(float(t) for t in self.theta) if self.theta else (0.0,) * self.N
-        if len(th) != self.N:
-            raise ValueError("theta must have exactly N entries")
-        object.__setattr__(self, "theta", th)
 
     @property
     def dim(self) -> int:
@@ -81,12 +77,11 @@ class ChainOperator:
     are applied with `@`.  `matvec` is the one way to apply it, and `dense`
     is derived from it on first use, for N <= DENSE_MAX only."""
 
-    def __init__(self, n_sites, op, *, hermitian=False):
+    def __init__(self, n_sites, op):
         self.n_sites = n_sites
         self.dim = op.shape[0]
         self._op = op
         self._dense = None
-        self.hermitian = hermitian
         self.dtype = np.dtype(op.dtype)
 
     def matvec(self, v):
@@ -239,8 +234,6 @@ def build_hamiltonian(params: ModelParams) -> ChainOperator:
     """H = sum_bonds sx.sx + sy.sy + cosh(eta) sz.sz with the closing bond
     sign-twisted on the antiperiodic chain.  Real symmetric, held as its
     two parity blocks; the dense matrix is derived on demand for N <= 12."""
-    if any(params.theta):
-        raise ValueError("the Hamiltonian is defined at zero inhomogeneities")
     N, ch = params.N, math.cosh(params.eta)
     terms = []
     for j, k, twisted in _bonds(params):
@@ -255,7 +248,7 @@ def build_hamiltonian(params: ModelParams) -> ChainOperator:
         mirror = _spin_flip_index
     else:
         mirror = None
-    return ChainOperator(N, _pauli_csr(N, terms, mirror), hermitian=True)
+    return ChainOperator(N, _pauli_csr(N, terms, mirror))
 
 
 def _spin_flip_index(N: int) -> np.ndarray:
@@ -281,8 +274,6 @@ def build_momentum_charge(params: ModelParams) -> ChainOperator:
     are the momentum charge; t(0)^{2N} = 1 exactly."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("momentum charge is defined for the antiperiodic chain")
-    if any(params.theta):
-        raise ValueError("momentum charge requires zero inhomogeneities")
     dim = 1 << params.N
     t0 = sp.csr_matrix((np.ones(dim), _rotation_index(params.N),
                         np.arange(dim + 1, dtype=np.int32)), shape=(dim, dim))
@@ -316,33 +307,34 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
                     coeff = coeff if pauli == "X" else -coeff
                 ops.append((site, pauli))
             terms.append((coeff, tuple(ops)))
-    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index), hermitian=True)
+    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index))
 
 
 class _TransferContraction:
     """t(u) applied to the leading axis of an array by running the
     auxiliary space through R_{01}, ..., R_{0N} once per auxiliary state.
 
-    R(u - th) on (auxiliary, site) keeps the states |00> and |11> with
-    weight a = sinh(u-th+eta)/sinh(eta), keeps |01> and |10> with weight
-    b = sinh(u-th)/sinh(eta) and swaps them with weight 1, so R(0) at
-    th = 0 is the permutation."""
+    R(u) on (auxiliary, site) keeps the states |00> and |11> with weight
+    a = sinh(u+eta)/sinh(eta), keeps |01> and |10> with weight
+    b = sinh(u)/sinh(eta) and swaps them with weight 1, so R(0) is the
+    permutation.  Every site of the uniform chain has the same (a, b)."""
 
     dtype = np.dtype(np.complex128)
 
     def __init__(self, u: complex, params: ModelParams):
         self.shape = (params.dim, params.dim)
+        self.n_sites = params.N
         sh = cmath.sinh(params.eta)
-        self.weights = [(cmath.sinh(u - th + params.eta) / sh, cmath.sinh(u - th) / sh)
-                        for th in params.theta]
+        self.a, self.b = cmath.sinh(u + params.eta) / sh, cmath.sinh(u) / sh
         self.twisted = params.boundary is Boundary.ANTIPERIODIC
 
     def __matmul__(self, v):
+        a, b = self.a, self.b
         out = np.zeros(v.shape, dtype=self.dtype)
         for aux in (0, 1):
             psi = np.zeros((2,) + v.shape, dtype=self.dtype)
             psi[aux] = v
-            for j, (a, b) in enumerate(self.weights, start=1):
+            for j in range(1, self.n_sites + 1):
                 q = psi.reshape(2, 1 << (j - 1), 2, -1)   # (aux, left, site, rest)
                 q[0, :, 0] *= a
                 q[1, :, 1] *= a
@@ -357,7 +349,7 @@ class _TransferContraction:
 
 
 def transfer_matrix(u: complex, params: ModelParams) -> ChainOperator:
-    """Twisted transfer matrix t(u) = tr_0 [ sx_0 R_{0N}(u-th_N)...R_{01}(u-th_1) ]
+    """Twisted transfer matrix t(u) = tr_0 [ sx_0 R_{0N}(u)...R_{01}(u) ]
     (trace without the twist for the periodic chain), applied matrix-free
     in O(N 2^N) at any N; no 2^N x 2^N matrix is formed unless `.dense` is
     asked for."""
@@ -369,13 +361,6 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     degeneracies: list[int] = field(default_factory=list)
     method: str = "dense"
-
-    def cluster_starts(self):
-        out, pos = [], 0
-        for d in self.degeneracies:
-            out.append(pos)
-            pos += d
-        return out
 
 
 def _cluster(vals: np.ndarray, tol: float = DEGENERACY_TOL) -> list[int]:
@@ -419,7 +404,7 @@ def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None
                                            overwrite_a=True)
         else:
             v0 = np.random.default_rng(seed).standard_normal(dim)
-            block_op = ChainOperator(op.n_sites, block, hermitian=True)
+            block_op = ChainOperator(op.n_sites, block)
             vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
             order = np.argsort(vals)
             vals, vecs = vals[order], vecs[:, order]
@@ -446,8 +431,9 @@ def _full_vectors(dim: int, parts) -> np.ndarray:
 
 def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
                 method: str | None = None, return_vectors: bool = False):
-    """Lowest `count` eigenvalues of a Hermitian chain operator (H or H2),
-    with degeneracy multiplicities clustered at 1e-8.
+    """Lowest `count` eigenvalues of a Hermitian chain operator held as its
+    parity blocks (H or H2), with degeneracy multiplicities clustered at
+    1e-8.
 
     Each parity block gives its lowest min(count, block dim) levels, by
     dense eigh up to DENSE_SECTOR_MAX states and ARPACK above (`method`
@@ -461,7 +447,7 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
     identical.  With `return_vectors`, the eigenvectors come as full-space
     columns, each of definite parity.
     """
-    if not op.hermitian:
+    if not isinstance(op._op, _ParityBlocks):
         raise ValueError("ed_spectrum needs a Hermitian operator")
     if count < 1 or count > op.dim:
         raise ValueError("count out of range")
@@ -499,11 +485,9 @@ def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
     """
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("ground_space resolves the twisted-chain doublet")
-    H = build_hamiltonian(params)
-    parts, _ = _sector_eigs(H, 1, seed=seed, method=None)
-    V = _full_vectors(params.dim, parts)
+    spec, V = ed_spectrum(build_hamiltonian(params), 2, seed=seed, return_vectors=True)
     w, s = np.linalg.eig(doublet_block(build_momentum_charge(params), V))
-    return GroundSpace(energy=float(parts[0][1][0]), vectors=V,
+    return GroundSpace(energy=float(spec.eigenvalues[0]), vectors=V,
                        t0_eigenvalues=w, t0_vectors=V @ s)
 
 

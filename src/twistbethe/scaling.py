@@ -7,8 +7,9 @@ Supported laws, with size N and parameters (a, b) or (a, b, c):
     exp           value = a * exp(b*N)
     exp-offset    value = a * exp(b*N) + c
 
-Every law is ``a * exp(b*x) [+ c]`` in the abscissa ``x = log N`` (power
-kinds) or ``x = N`` (exp kinds).  No-offset kinds reduce to exact linear
+A kind is named as above, in any letter case.  Every law is
+``a * exp(b*x) [+ c]`` in the abscissa ``x = log N`` (power kinds) or
+``x = N`` (exp kinds).  No-offset kinds reduce to exact linear
 regression in log space.  Offset kinds use variable projection (Golub &
 Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): for a fixed exponent, ``a``
 and ``c`` solve a two-column linear least-squares problem, so only a 1-D
@@ -44,11 +45,7 @@ _WINDOW_MAX_DROPS = 3
 
 
 def _coerce_kind(kind) -> str:
-    key = str(kind).strip().lower().replace("_", "-").replace(" ", "-")
-    if key == "poweroffset":
-        key = "power-offset"
-    elif key == "expoffset":
-        key = "exp-offset"
+    key = str(kind).strip().lower()
     if key not in _KINDS:
         raise ValueError(f"unknown fit kind: {kind!r}; expected one of {_KINDS}")
     return key
@@ -185,7 +182,7 @@ def fit(kind, samples) -> FitResult:
     Parameters
     ----------
     kind : {'power', 'power-offset', 'exp', 'exp-offset'}
-        Law to fit; underscores and CamelCase spellings are accepted.
+        Law to fit, in any letter case; no other spelling is accepted.
     samples : iterable of Sample or (N, value) pairs
 
     Returns

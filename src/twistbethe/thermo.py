@@ -9,13 +9,16 @@ of these enter the large-N ground energy; the finite-N position of the
 one ground-state hole follows from an analytic quantization condition.
 
 All sums are written in overflow-safe form (only exp of negative
-arguments appears) and truncate once a term's envelope drops below
+arguments appears) and stop at the first term whose envelope drops below
 ``TERM_TOL``, so they are usable down to the small-eta guard ``ETA_MIN``
-without float64 overflow at large k.
+without float64 overflow at large k.  That stop is the only one: the
+envelopes are e^{-2 eta k} or sech(eta k), so a series ends after about
+17.3/eta or 35.2/eta terms.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -31,15 +34,10 @@ XXX_LIMIT = 1.0 - 4.0 * math.log(2.0)
 # A k-series stops after the first term whose envelope is below TERM_TOL:
 # the remaining tail is then below float64 resolution of the O(1) sums.
 TERM_TOL = 1e-15
-# Below ETA_MIN the slowest series (terms ~ e^{-eta k}) needs more than
-# 400000 terms; the eta -> 0 energy density is served as XXX_LIMIT instead.
+# The slowest series (envelope sech(eta k)) stops near 35.2/eta terms,
+# 352000 at ETA_MIN; below it the eta -> 0 energy density is served as
+# XXX_LIMIT instead.
 ETA_MIN = 1e-4
-
-
-def _max_terms(eta: float) -> int:
-    """Term budget of a k-series: enough for < 1e-14 absolute truncation
-    error of the slowest series (terms ~ e^{-eta k}) at any eta >= ETA_MIN."""
-    return math.ceil(40.0 / eta) + 50
 
 
 def _check_eta(eta: float) -> None:
@@ -52,12 +50,13 @@ def _check_eta(eta: float) -> None:
         )
 
 
-def _k_series(eta: float, term) -> float:
+def _k_series(term) -> float:
     """fsum over k = 1, 2, ... of the values of term(k) -> (value, envelope),
-    up to and including the first term whose envelope is below TERM_TOL,
-    and at most _max_terms(eta) terms."""
+    up to and including the first term whose envelope is below TERM_TOL.
+    The envelope falls as e^{-c eta k}, so `_check_eta` (eta >= ETA_MIN)
+    bounds the count."""
     values = []
-    for k in range(1, _max_terms(eta) + 1):
+    for k in itertools.count(1):
         value, envelope = term(k)
         values.append(value)
         if envelope < TERM_TOL:
@@ -102,7 +101,7 @@ def e0_density(eta: float) -> float:
         t = e / (1.0 + e)  # = 1/(1+e^{2 eta k})
         return t, t
 
-    s = _k_series(eta, term)
+    s = _k_series(term)
     return -8.0 * math.sinh(eta) * s - 2.0 * math.sinh(eta) + math.cosh(eta)
 
 
@@ -121,7 +120,7 @@ def hole_energy(x0: float, eta: float) -> float:
         env = _sech(eta * k)
         return math.cos(k * eta * x0) * env, env
 
-    return 4.0 * math.sinh(eta) * (0.5 + _k_series(eta, term))
+    return 4.0 * math.sinh(eta) * (0.5 + _k_series(term))
 
 
 def twisted_boundary_energy(eta: float, parity) -> float:
@@ -138,7 +137,7 @@ def twisted_boundary_energy(eta: float, parity) -> float:
         env = _sech(eta * k)
         return (-1.0) ** k * env, env
 
-    eb = 4.0 * math.sinh(eta) * _k_series(eta, term) + 2.0 * math.sinh(eta)
+    eb = 4.0 * math.sinh(eta) * _k_series(term) + 2.0 * math.sinh(eta)
     return eb if parity is Parity.EVEN else -eb
 
 
@@ -184,7 +183,7 @@ def _edge_count(delta: float, eta: float) -> float:
         env = _sech(eta * k)
         return (-1.0) ** k * math.sin(k * eta * delta) * env / k, env
 
-    return 0.5 * eta * delta + _k_series(eta, term)
+    return 0.5 * eta * delta + _k_series(term)
 
 
 def _slot_sum_decay_rate(eta: float) -> float:
@@ -201,7 +200,7 @@ def _slot_sum_decay_rate(eta: float) -> float:
         e = math.exp(-2.0 * eta * k)
         return (-1.0) ** (k + 1) * e / (k * (1.0 + e)), e
 
-    return 0.5 * eta - math.log(2.0) + 2.0 * _k_series(eta, term)
+    return 0.5 * eta - math.log(2.0) + 2.0 * _k_series(term)
 
 
 # e-folds by which the finite-size corrections sinh(eta) e^{-c N} must lie
@@ -300,13 +299,14 @@ def energy_via_density(N: int, eta: float, boundary,
     E = -4 N sinh(eta) sum_k e^{-eta|k|} rho~(-k) + N cosh(eta)
         (+ 2 sinh(eta) for the twisted chain).
 
-    Reproduces the e0*N (+ e_h) decompositions from the closed forms; kept
-    as an independent code path for the verification suite, not used in
-    production.
+    Reproduces the e0*N (+ e_h) decompositions from the closed forms; an
+    independent code path, held to ``ground_energy_tl`` by the verify check
+    ``thermo-series-identities``.  The modes with e^{-eta|k|} below
+    TERM_TOL are skipped, and kmax lies past the last one admitted.
     """
     _check_eta(eta)
     boundary = Boundary.coerce(boundary)
-    kmax = _max_terms(eta)
+    kmax = math.ceil(math.log(1.0 / TERM_TOL) / eta) + 1
     total = 0.0 + 0.0j
     for k in range(-kmax, kmax + 1):
         env = math.exp(-eta * abs(k))

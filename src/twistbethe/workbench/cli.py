@@ -18,21 +18,10 @@ import json
 import sys
 
 from ..scaling import FitError, extrapolate, fit, fit_with_window
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, load_config_file
+from .config import ConfigError, ExperimentConfig, load_config_file
 from .emit import emit, parse_csv
-from .runner import run
+from .runner import EXPERIMENT_TABLE, run
 from .verify import verify
-
-_PLOT_FIELDS = {
-    "EdSpectrum": ("N", "e0"),
-    "SolveHom": ("N", "energy"),
-    "SolveInhom": ("N", "abs_defect"),
-    "EinhScan": ("N", "e_inh_over_cosh"),
-    "BoundaryEnergyScan": ("N", "e_b_over_cosh"),
-    "GapScan": ("N", "gap_over_cosh"),
-    "ChargeScan": ("N", "h2_inh"),
-    "Thermo": ("eta", "e_b_over_cosh"),
-}
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -71,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Bethe-ansatz workbench for the twisted XXZ chain")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in EXPERIMENTS:
+    for name in EXPERIMENT_TABLE:
         p = sub.add_parser(name, aliases=[name.lower()],
                            help=f"run the {name} experiment")
         p.add_argument("--eta", type=str, default=None,
@@ -93,7 +82,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run the self-check suite")
     pv.add_argument("--level", choices=["fast", "full"], default="fast")
 
-    pf = sub.add_parser("fit", aliases=["Fit"], help="fit a scaling law to a CSV")
+    pf = sub.add_parser("fit", help="fit a scaling law to a CSV")
     pf.add_argument("--kind", required=True,
                     choices=["power", "power-offset", "exp", "exp-offset"])
     pf.add_argument("--input", required=True, help="CSV produced by a scan")
@@ -119,7 +108,7 @@ def _cmd_experiment(args) -> int:
     records = run(config, force=args.force)
 
     formats = [f.strip().lower() for f in args.formats.split(",") if f.strip()]
-    x_field, y_field = _PLOT_FIELDS[config.experiment]
+    x_field, y_field = EXPERIMENT_TABLE[config.experiment][1]
     written = []
     for fmt in formats:
         if fmt == "svg" and all(r.status != "ok" for r in records):
@@ -194,7 +183,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "verify":
             return _cmd_verify(args)
-        if args.command in ("fit", "Fit"):
+        if args.command == "fit":
             return _cmd_fit(args)
         return _cmd_experiment(args)
     except ConfigError as exc:

@@ -7,30 +7,13 @@ from dataclasses import dataclass, fields
 from pathlib import Path
 
 from ..common import Boundary
+from .runner import EXPERIMENT_TABLE
 
 __all__ = ["EXPERIMENTS", "ConfigError", "ExperimentConfig", "load_config_file"]
 
-EXPERIMENTS = (
-    "EdSpectrum",
-    "SolveHom",
-    "SolveInhom",
-    "EinhScan",
-    "BoundaryEnergyScan",
-    "GapScan",
-    "ChargeScan",
-    "Thermo",
-)
+EXPERIMENTS = tuple(EXPERIMENT_TABLE)
 
 _CANONICAL = {name.lower(): name for name in EXPERIMENTS}
-_CANONICAL.update({
-    "ed-spectrum": "EdSpectrum",
-    "solve-hom": "SolveHom",
-    "solve-inhom": "SolveInhom",
-    "einh-scan": "EinhScan",
-    "boundary-energy-scan": "BoundaryEnergyScan",
-    "gap-scan": "GapScan",
-    "charge-scan": "ChargeScan",
-})
 
 
 class ConfigError(ValueError):
@@ -38,7 +21,8 @@ class ConfigError(ValueError):
 
 
 def coerce_experiment(name) -> str:
-    key = str(name).strip().lower().replace("_", "-")
+    """An experiment's name, in any letter case."""
+    key = str(name).strip().lower()
     try:
         return _CANONICAL[key]
     except KeyError:

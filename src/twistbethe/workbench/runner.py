@@ -11,27 +11,30 @@ error status and never abort the sweep.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import functools
 import hashlib
 import json
 import math
 import os
 import tempfile
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import __version__
 from .. import baes, model, thermo
 from ..common import Boundary, Parity
-from .config import ExperimentConfig
 
-__all__ = ["ResultRecord", "run", "flatten_record"]
+if TYPE_CHECKING:
+    from .config import ExperimentConfig
+
+__all__ = ["EXPERIMENT_TABLE", "ResultRecord", "run", "flatten_record"]
 
 
-@dataclass
+@dataclasses.dataclass
 class ResultRecord:
     """One sweep point: parameter echo, named scalar outputs, provenance."""
 
@@ -44,27 +47,11 @@ class ResultRecord:
     version: str
 
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "params": dict(self.params),
-            "outputs": dict(self.outputs),
-            "status": self.status,
-            "error": self.error,
-            "timestamp": self.timestamp,
-            "version": self.version,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResultRecord":
-        return cls(
-            experiment=data["experiment"],
-            params=dict(data["params"]),
-            outputs=dict(data["outputs"]),
-            status=data["status"],
-            error=data.get("error"),
-            timestamp=data["timestamp"],
-            version=data["version"],
-        )
+        return cls(**data)
 
 
 def flatten_record(record: ResultRecord) -> dict:
@@ -83,18 +70,6 @@ def flatten_record(record: ResultRecord) -> dict:
 # cache
 
 
-def _canonical(obj):
-    if isinstance(obj, dict):
-        return {k: _canonical(v) for k, v in sorted(obj.items())}
-    if isinstance(obj, (list, tuple)):
-        return [_canonical(v) for v in obj]
-    if isinstance(obj, Boundary):
-        return obj.value
-    if isinstance(obj, float):
-        return float(f"{obj:.17g}")
-    return obj
-
-
 @functools.cache
 def _source_digest() -> str:
     """SHA-256 over the package's .py sources (relative path and bytes),
@@ -110,7 +85,7 @@ def _source_digest() -> str:
 def _point_key(experiment: str, params: dict) -> str:
     payload = {
         "experiment": experiment,
-        "params": _canonical(params),
+        "params": params,
         "version": __version__,
         "sources": _source_digest(),
     }
@@ -253,31 +228,35 @@ def _exp_thermo(cfg: ExperimentConfig, eta: float, N: int | None) -> dict:
     }
 
 
+# name -> (body, the (x, y) columns its SVG plots); the names in this order
+# are config.EXPERIMENTS and the CLI's subcommands
+EXPERIMENT_TABLE = {
+    "EdSpectrum": (_exp_ed_spectrum, ("N", "e0")),
+    "SolveHom": (_exp_solve_hom, ("N", "energy")),
+    "SolveInhom": (_exp_solve_inhom, ("N", "abs_defect")),
+    "EinhScan": (_exp_einh_scan, ("N", "e_inh_over_cosh")),
+    "BoundaryEnergyScan": (_exp_boundary_energy_scan, ("N", "e_b_over_cosh")),
+    "GapScan": (_exp_gap_scan, ("N", "gap_over_cosh")),
+    "ChargeScan": (_exp_charge_scan, ("N", "h2_inh")),
+    "Thermo": (_exp_thermo, ("eta", "e_b_over_cosh")),
+}
+
+
 # ---------------------------------------------------------------------------
 # sweep driver
 
 
 def _grid(config: ExperimentConfig):
     """Sweep points as (params_echo, callable) pairs, in deterministic order."""
-    exp = config.experiment
+    body = EXPERIMENT_TABLE[config.experiment][0]
     boundary = config.boundary.value
     points = []
-    if exp == "Thermo":
+    if config.experiment == "Thermo":
         for eta in config.etas:
             params = {"eta": float(eta), "seed": config.seed}
-            points.append((params, lambda c, e=eta: _exp_thermo(c, e, None)))
+            points.append((params, lambda c, e=eta: body(c, e, None)))
         return points
 
-    bodies = {
-        "EdSpectrum": _exp_ed_spectrum,
-        "SolveHom": _exp_solve_hom,
-        "SolveInhom": _exp_solve_inhom,
-        "EinhScan": _exp_einh_scan,
-        "BoundaryEnergyScan": _exp_boundary_energy_scan,
-        "GapScan": _exp_gap_scan,
-        "ChargeScan": _exp_charge_scan,
-    }
-    body = bodies[exp]
     for eta in config.etas:
         for N in config.N_list:
             params = {"eta": float(eta), "N": int(N), "boundary": boundary,
@@ -312,7 +291,7 @@ def run(config: ExperimentConfig, *, force: bool = False) -> list[ResultRecord]:
                 records.append(ResultRecord.from_dict(
                     json.loads(path.read_text(encoding="utf-8"))))
                 continue
-            except (json.JSONDecodeError, KeyError):
+            except (json.JSONDecodeError, TypeError):
                 pass  # corrupt cache entry: recompute below
         record = _compute_point(config, params, body)
         _write_atomic(path, json.dumps(record.to_dict(), indent=2) + "\n")

@@ -123,6 +123,7 @@ THERMO_BOUNDS = {
     "isotropic e0": 2e-3,
     "hole energy not falling": 0,
     "band-edge hole at last eta": 1e-3,
+    "density contraction vs table": 1e-10,
 }
 
 
@@ -131,7 +132,10 @@ def check_thermo_series(etas=(), boundary_etas=(), gap_etas=(),
     """The thermodynamic series' identities and the paper's numbers.
 
     etas: the band-edge hole energy equals the twisted boundary energy and
-    half the odd-parity gap, and the even-parity gap is exactly 0.
+    half the odd-parity gap, the even-parity gap is exactly 0, and the
+    density modes contracted with the kernel (`energy_via_density`, the
+    hole at the band edge) give the band-edge table at N = 40 and 41 on
+    both boundaries.
     boundary_etas, gap_etas: E_b/cosh(eta) and gap/cosh(eta) against
     PAPER_TABLE.  isotropic_etas, a run of eta falling toward the isotropic
     point: the band-edge hole energy falls along it and vanishes at its
@@ -145,6 +149,13 @@ def check_thermo_series(etas=(), boundary_etas=(), gap_etas=(),
         m.add("band-edge identities", abs(gap - 2 * e_edge), f"eta={eta}")
         m.add("even-parity gap", abs(thermo.excitation_gap_tl(eta, Parity.EVEN)),
               f"eta={eta}")
+        for N in (40, 41):
+            for boundary in (_ANTI, _PER):
+                x0 = math.pi / eta if (boundary is _ANTI) == (N % 2 == 0) else None
+                dev = abs(thermo.energy_via_density(N, eta, boundary, x0=x0)
+                          - thermo.ground_energy_tl(N, eta, boundary))
+                m.add("density contraction vs table", dev,
+                      f"N={N} {boundary.value} eta={eta}")
     for eta in boundary_etas:
         r = thermo.twisted_boundary_energy(eta, Parity.EVEN) / math.cosh(eta)
         m.add("boundary energy vs table", abs(r - PAPER_TABLE[eta][0]), f"eta={eta}")

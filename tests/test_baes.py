@@ -162,17 +162,6 @@ def test_twisted_energy_defect_matches_frozen_oracle():
         assert e_hom - ed == pytest.approx(want, abs=1e-10)
 
 
-def test_solver_jacobian_consistency():
-    # converged residual stays tiny under tiny quantum-number-preserving
-    # perturbations re-solved from a warm start
-    N = 9
-    qn = ground_quantum_numbers(N, Boundary.ANTIPERIODIC)
-    roots = solve_log_baes(ETA, N, qn)
-    warm = solve_log_baes(ETA, N, qn, x0=roots.x + 1e-4)
-    assert warm.x == pytest.approx(roots.x, abs=1e-11)
-    assert warm.residual < 1e-12
-
-
 def test_solver_stops_at_float_resolution():
     # the equations' terms reach 2 pi (N + M), so an absolute 1e-12 lies
     # below their float64 resolution here
@@ -308,3 +297,6 @@ def test_momentum_of_symmetric_set_is_exact():
     assert p in (complex(0.0), complex(0.0, math.pi))  # exact, not approximate
     with pytest.raises(ValueError):
         charge_from_roots("e0", roots)  # e0 names the ground energy, not a charge
+    for alias in ("p", "h2"):           # one name per charge
+        with pytest.raises(ValueError):
+            charge_from_roots(alias, roots)

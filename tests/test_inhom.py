@@ -116,15 +116,14 @@ def test_rejects_unsupported_inputs(monkeypatch):
     with pytest.raises(ValueError):
         solve_inhom_baes(ModelParams(4, ETA, "per"))
     with pytest.raises(ValueError):
-        solve_inhom_baes(ModelParams(4, ETA, "anti", theta=(0.1, 0, 0, 0)))
-    with pytest.raises(ValueError):
         solve_inhom_baes(ModelParams(14, ETA, "anti"))
     with pytest.raises(ValueError):
         inhom_contribution(22, ETA, "Energy")
     with pytest.raises(ValueError):
         inhom_contribution(22, ETA, "ChargeH2")
-    with pytest.raises(ValueError):
-        inhom_contribution(8, ETA, "Spin")
+    for observable in ("Spin", "p", "h2"):
+        with pytest.raises(ValueError):
+            inhom_contribution(8, ETA, observable)
 
 
 def test_other_anisotropy():

@@ -74,11 +74,13 @@ def test_exp_recovery():
 
 
 def test_kind_spelling_variants():
+    # one spelling per kind, in any letter case
     vals = _samples(2.0 * NS ** -1.0 + 0.3)
-    for kind in ("power-offset", "power_offset", "PowerOffset"):
+    for kind in ("power-offset", "Power-Offset"):
         assert fit(kind, vals).kind == "power-offset"
-    with pytest.raises(ValueError):
-        fit("cubic", vals)
+    for kind in ("cubic", "power_offset", "PowerOffset", "power offset"):
+        with pytest.raises(ValueError):
+            fit(kind, vals)
 
 
 def test_scale_equivariance():

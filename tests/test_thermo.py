@@ -6,13 +6,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from twistbethe import thermo
 from twistbethe.common import Boundary, Parity
 from twistbethe.thermo import (
     XXX_LIMIT,
     density_fourier,
     e0_density,
-    energy_via_density,
     excitation_gap_tl,
     ground_energy_tl,
     hole_energy,
@@ -20,6 +18,7 @@ from twistbethe.thermo import (
     kernel_a,
     twisted_boundary_energy,
 )
+from twistbethe.workbench.verify import check_thermo_series
 
 # frozen from an independent 40-digit evaluation of the defining series
 E0_ETA2 = -4.023304650511254
@@ -40,6 +39,10 @@ def test_twisted_boundary_energy_values():
         EB_OVER_COSH_ETA3, abs=1e-13)
     assert twisted_boundary_energy(2.0, Parity.ODD) == pytest.approx(
         -twisted_boundary_energy(2.0, Parity.EVEN), abs=1e-15)
+    assert twisted_boundary_energy(2.0, "Even") == twisted_boundary_energy(2.0, Parity.EVEN)
+    for alias in ("e", "o"):   # one spelling per parity
+        with pytest.raises(ValueError):
+            twisted_boundary_energy(2.0, alias)
 
 
 def test_gap_values():
@@ -96,17 +99,18 @@ def test_hole_energy_minimal_at_band_edge():
     assert all(v > edge for v in interior)
 
 
-def test_series_truncation_stability(monkeypatch):
-    # doubling the term budget does not move the sums
-    etas = (0.3, 1.0, 2.5)
-    sums = {}
-    for budget in (400, 200):
-        monkeypatch.setattr(thermo, "_max_terms", lambda eta, n=budget: n)
-        sums[budget] = [(e0_density(eta), twisted_boundary_energy(eta, Parity.EVEN))
-                        for eta in etas]
-    for (e0_tight, eb_tight), (e0_loose, eb_loose) in zip(sums[400], sums[200]):
-        assert e0_tight == pytest.approx(e0_loose, abs=1e-13)
-        assert eb_tight == pytest.approx(eb_loose, abs=1e-13)
+def test_series_stop_rule_matches_long_sums():
+    # the series stop at the first term whose envelope is below TERM_TOL;
+    # the same closed forms summed over 2 ceil(40/eta) terms, far past that
+    # stop, agree with them
+    for eta in (0.3, 1.0, 2.5):
+        k = range(1, 2 * math.ceil(40.0 / eta) + 1)
+        sh, ch = math.sinh(eta), math.cosh(eta)
+        e0 = -8.0 * sh * math.fsum(1.0 / (1.0 + math.exp(2.0 * eta * n)) for n in k) \
+            - 2.0 * sh + ch
+        eb = 4.0 * sh * math.fsum((-1.0) ** n / math.cosh(eta * n) for n in k) + 2.0 * sh
+        assert e0_density(eta) == pytest.approx(e0, abs=1e-13)
+        assert twisted_boundary_energy(eta, Parity.EVEN) == pytest.approx(eb, abs=1e-13)
 
 
 def test_xxx_limit():
@@ -164,14 +168,9 @@ def test_density_fourier_case_guards():
 def test_density_fourier_energy_reconstruction():
     # summing the mode expansion against e^{-eta|k|} reproduces the
     # thermodynamic-limit table entries, hole and boundary terms included
-    eta = 2.0
-    for N, boundary in ((40, Boundary.ANTIPERIODIC), (41, Boundary.ANTIPERIODIC),
-                        (40, Boundary.PERIODIC), (41, Boundary.PERIODIC)):
-        has_hole = (boundary is Boundary.ANTIPERIODIC) == (N % 2 == 0)
-        x0 = math.pi / eta if has_hole else None
-        via_density = energy_via_density(N, eta, boundary, x0=x0)
-        table = ground_energy_tl(N, eta, boundary)
-        assert via_density == pytest.approx(table, abs=1e-10)
+    m = check_thermo_series(etas=(1.0, 2.0, 3.0))
+    assert "density contraction vs table" in m.worst
+    assert m.ok, m.summary()
 
 
 def test_hole_quantization_energy_zero_without_hole():

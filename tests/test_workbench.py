@@ -28,6 +28,7 @@ from twistbethe.workbench.verify import (
     check_large_n_consistency,
     check_operator_identities,
     check_parity_reversal,
+    check_thermo_series,
 )
 
 
@@ -40,8 +41,11 @@ def _cfg(tmp_path, **kw):
 
 def test_experiment_names_canonical():
     assert "EdSpectrum" in EXPERIMENTS
-    cfg = ExperimentConfig(experiment="ed-spectrum")
+    cfg = ExperimentConfig(experiment="edspectrum")   # the CLI's lowercase name
     assert cfg.experiment == "EdSpectrum"
+    for alias in ("ed-spectrum", "ed_spectrum", "gap-scan"):   # one spelling per name
+        with pytest.raises(ConfigError):
+            ExperimentConfig(experiment=alias)
 
 
 def test_config_rejects_bad_input(tmp_path):
@@ -102,14 +106,25 @@ def test_point_key_tracks_sources(tmp_path, monkeypatch):
     assert runner._point_key(cfg.experiment, params) != key
 
 
+def test_point_key_format_is_pinned(monkeypatch):
+    # the key names cache files on disk, so for fixed sources it must not
+    # drift between versions of the runner
+    monkeypatch.setattr(runner, "_source_digest", lambda: "0" * 64)
+    params = {"eta": 2.0, "N": 4, "boundary": "antiperiodic", "seed": 0}
+    assert runner._point_key("EdSpectrum", params) == "6ac696a1e384ab0e2353"
+    assert runner._point_key("Thermo", {"eta": 0.1, "seed": 0}) == "89c6decbccf31d26c332"
+
+
 def test_corrupt_cache_recomputed(tmp_path):
     cfg = _cfg(tmp_path, N_list=[4])
     run(cfg)
     path = next((tmp_path / "cache").glob("*.json"))
-    path.write_text("{ not json")
-    rec = run(_cfg(tmp_path, N_list=[4]))[0]
-    assert rec.status == "ok"
-    assert json.loads(path.read_text())["outputs"] == rec.outputs
+    # not JSON, JSON of another shape, a record with a field missing
+    for text in ("{ not json", "[]", '{"experiment": "EdSpectrum"}'):
+        path.write_text(text)
+        rec = run(_cfg(tmp_path, N_list=[4]))[0]
+        assert rec.status == "ok"
+        assert json.loads(path.read_text())["outputs"] == rec.outputs
 
 
 def test_solve_hom_records_mode_count(tmp_path):
@@ -267,6 +282,8 @@ def test_cli_fit_subcommand(tmp_path, capsys):
 
     assert main(["fit", "--kind", "power", "--input",
                  str(tmp_path / "missing.csv"), "--y", "value"]) == 2
+    with pytest.raises(SystemExit):   # one spelling per subcommand
+        main(["Fit", "--kind", "power", "--input", str(path), "--y", "value"])
     capsys.readouterr()
 
 
@@ -300,7 +317,8 @@ def _rotate_t0_phases(original):
 
 
 # (check, its arguments, label, owner, attribute, perturbation) for each
-# check behind criteria 4-9; the e0_density case is the test above
+# check behind criteria 4-9 and the density contraction; the e0_density
+# case is the test above
 PERTURBATIONS = [
     (check_inhom_vs_ed, ((4,),), "energy_inhom + 1e-7", baes, "energy_inhom",
      _offset(1e-7)),
@@ -323,6 +341,8 @@ PERTURBATIONS = [
      "inhom_contribution", _offset(1e-7)),
     (check_charges, ((4,), (5,)), "t(0) phases + 1e-8", model, "ground_space",
      _rotate_t0_phases),
+    (check_thermo_series, ((2.0,),), "density_fourier + 1e-9", thermo, "density_fourier",
+     _offset(1e-9)),
 ]
 
 
