@@ -675,9 +675,9 @@ def _fold_imag(value: complex) -> complex:
     return complex(value.real, im)
 
 
-def _is_symmetric(x: np.ndarray, tol: float = 1e-11) -> bool:
+def _is_symmetric(x: np.ndarray) -> bool:
     xs = np.sort(x)
-    return bool(len(xs) == 0 or np.all(np.abs(xs + xs[::-1]) < tol))
+    return bool(len(xs) == 0 or np.all(np.abs(xs + xs[::-1]) < 1e-11))
 
 
 def charge_from_roots(order: str, roots) -> complex:

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import math
 import cmath
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -117,7 +117,7 @@ class _ParityBlocks:
     block is built up front; the odd one is built by `build(1)` when
     first asked for (full-space application or `toarray`)."""
 
-    def __init__(self, build, states, mirror=None):
+    def __init__(self, build, states, mirror):
         self._build, self.states, self.mirror = build, states, mirror
         self._blocks = [build(0), None if mirror is not None else build(1)]
         dim = 2 * len(states[0])
@@ -146,7 +146,7 @@ class _ParityBlocks:
         return out
 
 
-def _pauli_csr(N: int, terms, mirror=None) -> _ParityBlocks:
+def _pauli_csr(N: int, terms, mirror) -> _ParityBlocks:
     """Sum of Pauli strings as its two parity blocks, CSR with int32 indices.
 
     Each term is (coeff, ((site, "X"|"Y"|"Z"), ...)) with 1-based, distinct
@@ -359,14 +359,14 @@ def transfer_matrix(u: complex, params: ModelParams) -> ChainOperator:
 @dataclass
 class SpectrumResult:
     eigenvalues: np.ndarray
-    degeneracies: list[int] = field(default_factory=list)
-    method: str = "dense"
+    degeneracies: list[int]
+    method: str
 
 
-def _cluster(vals: np.ndarray, tol: float = DEGENERACY_TOL) -> list[int]:
+def _cluster(vals: np.ndarray) -> list[int]:
     degs = []
     for i, v in enumerate(vals):
-        if i > 0 and abs(v - vals[i - 1]) < tol:
+        if i > 0 and abs(v - vals[i - 1]) < DEGENERACY_TOL:
             degs[-1] += 1
         else:
             degs.append(1)
