@@ -736,8 +736,8 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
 
     `observable` is "Energy", "Momentum" or "ChargeH2", in any letter case.
     Energy: exact value from the lowest ED level (parity-sector ED:
-    dense eigh to N = 9, ARPACK to N = 20); positive for even N, negative
-    for odd.  Momentum: the exact even-N doublet
+    dense eigh to N = 9, one-level Lanczos to N = 20); positive for even
+    N, negative for odd.  Momentum: the exact even-N doublet
     values are +-i pi/2; the reduced value is compared against the member
     it approximates (nearest branch), which makes the defect a smooth
     single-signed sequence in N; exactly 0 for odd N.  ChargeH2: the exact

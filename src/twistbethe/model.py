@@ -19,12 +19,14 @@ real symmetric; H2 and t(u) are complex.
 H and H2 commute with the parity P = prod sigma^z on both boundaries, and
 are held as their two P blocks, each on 2^(N-1) basis states; no 2^N CSR
 matrix is built for them.  ED solves the blocks one at a time: dense eigh
-up to DENSE_SECTOR_MAX states per block, ARPACK above, which carries the
-spectrum to N = ITERATIVE_MAX = 20; H and H2 are refused above it.  Where
-a basis permutation commutes with the operator and flips P (t(0) on the
-twisted chain; the global spin flip for H on the periodic chain at odd
-N) the odd block is the even one re-indexed: only the even block is
-built and solved, and its levels count twice.  A dense
+up to DENSE_SECTOR_MAX states per block; above it, plain Lanczos when
+each block gives one level and no vectors are asked for (the ground
+energies of the finite-N scans), and ARPACK otherwise.  The iterative
+solvers carry ED to N = ITERATIVE_MAX = 20; H and H2 are refused above
+it.  Where a basis permutation commutes with the operator and flips P
+(t(0) on the twisted chain; the global spin flip for H on the periodic
+chain at odd N) the odd block is the even one re-indexed: only the even
+block is built and solved, and its levels count twice.  A dense
 2^N matrix is derived on demand only for N <= 12, a size chosen for 5 GB
 class hardware.
 """
@@ -48,6 +50,13 @@ ITERATIVE_MAX = 20
 # faster, by the crossover measured on a 2-core box with one BLAS thread
 DENSE_SECTOR_MAX = 256
 DEGENERACY_TOL = 1e-8
+# stop rule and step cap of the single-level Lanczos run (_lanczos_lowest).
+# Before a spurious copy forms, the residual estimate of the converged
+# lowest pair bottoms out at 1-3 eps ||T|| on the H and H2 blocks at
+# N = 10..16; a ground level of H at N = 16 takes at most 150 steps per
+# block.
+LANCZOS_TOL = 8 * np.finfo(np.float64).eps
+LANCZOS_MAX_STEPS = 1000
 
 
 @dataclass(frozen=True)
@@ -373,12 +382,76 @@ def _cluster(vals: np.ndarray) -> list[int]:
     return degs
 
 
-def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None):
-    """Lowest eigenpairs of a Hermitian operator by parity sector, as
-    (states, values, block vectors) per sector, and the solver that ran:
-    "dense" (scipy eigh) for blocks of at most DENSE_SECTOR_MAX states,
-    where ARPACK cannot run (k >= dim - 1) or when forced, "iterative"
-    (ARPACK through `matvec`) otherwise.
+class LanczosNoConvergence(RuntimeError):
+    """The single-level Lanczos run took LANCZOS_MAX_STEPS steps without
+    meeting its stop rule; carries the step count, the last lowest Ritz
+    value and its residual estimate."""
+
+    def __init__(self, steps, value, estimate):
+        super().__init__(f"Lanczos did not converge in {steps} steps: lowest Ritz "
+                         f"value {value!r}, residual estimate {estimate:.3e}")
+        self.steps, self.value, self.estimate = steps, value, estimate
+
+
+def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
+    """Lowest eigenvalue of a Hermitian operator by the three-term Lanczos
+    recurrence from v0 (Sandvik, arXiv:1101.3281, section 4), holding three
+    vectors and no basis.
+
+    After step j the lowest Ritz value theta of the j x j tridiagonal T_j
+    has residual norm |beta_j s_j|, s_j the last component of its unit
+    eigenvector.  The run stops once |beta_j s_j| <= LANCZOS_TOL ||T_j||,
+    with ||T_j|| bounded by its largest Gershgorin row sum.  That is
+    ARPACK's tol = 0 rule, |beta_j s_j| <= eps |theta|, with |theta| <=
+    ||T_j|| and widened to what plain Lanczos can reach: without
+    reorthogonalisation a converged pair loses orthogonality at a residual
+    of a few eps ||A|| (Paige), a spurious copy of it forms, and the
+    estimate rises again, at times before it has reached eps |theta|.  The
+    rule also stops on breakdown, beta_j at rounding level, where the
+    Krylov space is invariant.  Spurious copies leave the lowest value
+    alone but hide multiplicities: this path serves one level without
+    vectors only."""
+    dtype = np.result_type(op.dtype, np.float64)
+    axpy = scipy.linalg.get_blas_funcs("axpy", dtype=dtype)
+    alphas, betas = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
+    q = (v0 / np.linalg.norm(v0)).astype(dtype)
+    q_prev = np.zeros_like(q)
+    beta = norm_t = 0.0
+    for j in range(LANCZOS_MAX_STEPS):
+        w = op.matvec(q)
+        alphas[j] = alpha = np.vdot(q, w).real
+        w = axpy(q_prev, axpy(q, w, a=-alpha), a=-beta)
+        betas[j] = beta = np.linalg.norm(w)
+        norm_t = max(norm_t, abs(alpha) + beta + (betas[j - 1] if j else 0.0))
+        # the lowest pair of T_{j+1} by the LAPACK routines behind
+        # eigh_tridiagonal(select="i"), called directly: at these sizes its
+        # argument checks cost as much as the solve.  The wrappers want an
+        # off-diagonal of at least one entry, unread when T is 1 x 1.
+        d, e = alphas[:j + 1], betas[:max(j, 1)]
+        _, theta, block, split, info = scipy.linalg.lapack.dstebz(d, e, 2, 0.0, 0.0, 1, 1,
+                                                                  0.0, "B")
+        s, info_s = scipy.linalg.lapack.dstein(d, e, theta[:1], block, split)
+        if info or info_s:
+            raise np.linalg.LinAlgError(f"tridiagonal eigensolver failed at step {j + 1}")
+        theta, estimate = float(theta[0]), beta * abs(s[-1, 0])
+        if estimate <= LANCZOS_TOL * norm_t:
+            return theta
+        w /= beta
+        q_prev, q = q, w
+    raise LanczosNoConvergence(LANCZOS_MAX_STEPS, theta, estimate)
+
+
+def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None,
+                 vectors: bool):
+    """Lowest eigenvalues of a Hermitian operator by parity sector, as
+    (states, values, block vectors or None) per sector, and the solver
+    that ran: "dense" (scipy eigh) for blocks of at most DENSE_SECTOR_MAX
+    states, where ARPACK cannot run (k >= dim - 1) or when forced,
+    "iterative" otherwise.  The iterative solver is Lanczos
+    (`_lanczos_lowest`) when each solved block gives one level (k = 1) and
+    no `vectors` are asked for, and ARPACK otherwise, which resolves
+    multiplicities and returns vectors.  Both apply the block through
+    `matvec`, from the same start vector drawn from `seed`.
 
     Without a mirror each block is solved for its lowest min(count, block
     dim) pairs.  With one, only the even block is solved, for
@@ -405,9 +478,12 @@ def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None
         else:
             v0 = np.random.default_rng(seed).standard_normal(dim)
             block_op = ChainOperator(op.n_sites, block)
-            vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
-            order = np.argsort(vals)
-            vals, vecs = vals[order], vecs[:, order]
+            if k == 1 and not vectors:
+                vals, vecs = np.array([_lanczos_lowest(block_op, v0)]), None
+            else:
+                vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
+                order = np.argsort(vals)
+                vals, vecs = vals[order], vecs[:, order]
         parts.append((blocks.states[p], vals, vecs))
     if mirror is not None:
         inverse = np.empty_like(mirror)
@@ -436,22 +512,26 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
     1e-8.
 
     Each parity block gives its lowest min(count, block dim) levels, by
-    dense eigh up to DENSE_SECTOR_MAX states and ARPACK above (`method`
-    forces "dense" or "iterative"; ARPACK falls back to eigh where it
-    cannot run); the levels are merged and sorted.  Where a parity-flipping
-    symmetry mirrors one block onto the other (t(0) on the twisted chain,
-    the global spin flip on the periodic chain at odd N) only the even
-    block is solved, for its lowest ceil(count / 2) levels, and each level
-    is listed twice; the periodic chain at even N solves both blocks.  The
-    ARPACK start vector is derived from `seed` so repeated runs are
-    identical.  With `return_vectors`, the eigenvectors come as full-space
-    columns, each of definite parity.
+    dense eigh up to DENSE_SECTOR_MAX states; above it by Lanczos when each
+    solved block gives one level and `return_vectors` is off, and by
+    ARPACK otherwise (`method` forces "dense" or "iterative"; the
+    iterative solvers fall back to eigh where ARPACK cannot run).  Both
+    iterative solvers report "iterative".  The levels are merged and
+    sorted.  Where a parity-flipping symmetry mirrors one block onto the
+    other (t(0) on the twisted chain, the global spin flip on the periodic
+    chain at odd N) only the even block is solved, for its lowest
+    ceil(count / 2) levels, and each level is listed twice; the periodic
+    chain at even N solves both blocks.  The Lanczos and ARPACK start
+    vector is derived from `seed` so repeated runs are identical.  With
+    `return_vectors`, the eigenvectors come as full-space columns, each of
+    definite parity.
     """
     if not isinstance(op._op, _ParityBlocks):
         raise ValueError("ed_spectrum needs a Hermitian operator")
     if count < 1 or count > op.dim:
         raise ValueError("count out of range")
-    parts, kind = _sector_eigs(op, count, seed=seed, method=method)
+    parts, kind = _sector_eigs(op, count, seed=seed, method=method,
+                               vectors=return_vectors)
     vals = np.concatenate([vals for _, vals, _ in parts])
     order = np.argsort(vals, kind="stable")[:count]
     res = SpectrumResult(vals[order], _cluster(vals[order]), kind)

@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 
-from ..scaling import FitError, extrapolate, fit, fit_with_window
+from ..common import Boundary
+from ..scaling import _KINDS, FitError, _coerce_kind, extrapolate, fit, fit_with_window
 from .config import ConfigError, ExperimentConfig, load_config_file
 from .emit import emit, parse_csv
 from .runner import EXPERIMENT_TABLE, run
@@ -54,6 +55,17 @@ def _parse_eta(text: str):
     return vals if len(vals) > 1 else vals[0]
 
 
+def _parsed_by(coerce):
+    """An argparse `type` that parses through `coerce`, whose ValueError
+    becomes a usage error (exit 2)."""
+    def parse(text):
+        try:
+            return coerce(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistbethe",
@@ -67,8 +79,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="crossing parameter, single value or comma list")
         p.add_argument("--n", type=str, default=None, metavar="LIST|RANGE",
                        help="chain sizes: '4,6,8' or '8..18:2'")
-        p.add_argument("--boundary", type=str, default=None,
-                       choices=["anti", "per", "antiperiodic", "periodic"])
+        p.add_argument("--boundary", type=_parsed_by(Boundary.coerce), default=None,
+                       help="anti[periodic] or per[iodic], in any letter case")
         p.add_argument("--out", type=str, default=None, help="output directory")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--force", action="store_true",
@@ -83,8 +95,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--level", choices=["fast", "full"], default="fast")
 
     pf = sub.add_parser("fit", help="fit a scaling law to a CSV")
-    pf.add_argument("--kind", required=True,
-                    choices=["power", "power-offset", "exp", "exp-offset"])
+    pf.add_argument("--kind", required=True, type=_parsed_by(_coerce_kind),
+                    help=f"one of {', '.join(_KINDS)}, in any letter case")
     pf.add_argument("--input", required=True, help="CSV produced by a scan")
     pf.add_argument("--x", default="N", help="size column (default N)")
     pf.add_argument("--y", required=True, help="value column")

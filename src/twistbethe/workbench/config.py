@@ -32,7 +32,7 @@ def coerce_experiment(name) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment sweep: grid, physical parameters, output, ARPACK seed.
+    """One experiment sweep: grid, physical parameters, output, ED seed.
 
     ``eta`` may be a single value or a list (swept); ``N_list`` must be
     nonempty and ascending.

@@ -51,7 +51,16 @@ class ResultRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ResultRecord":
-        return cls(**data)
+        """The record `to_dict` wrote; TypeError when a field is missing,
+        unknown or of the wrong type."""
+        record = cls(**data)
+        if not (isinstance(record.params, dict) and isinstance(record.outputs, dict)
+                and record.status in ("ok", "error")
+                and isinstance(record.error, (str, type(None)))
+                and all(isinstance(v, str) for v in
+                        (record.experiment, record.timestamp, record.version))):
+            raise TypeError(f"record fields of the wrong type: {data!r}")
+        return record
 
 
 def flatten_record(record: ResultRecord) -> dict:
@@ -292,7 +301,7 @@ def run(config: ExperimentConfig, *, force: bool = False) -> list[ResultRecord]:
                     json.loads(path.read_text(encoding="utf-8"))))
                 continue
             except (json.JSONDecodeError, TypeError):
-                pass  # corrupt cache entry: recompute below
+                pass  # corrupt or mistyped cache entry: recompute below
         record = _compute_point(config, params, body)
         _write_atomic(path, json.dumps(record.to_dict(), indent=2) + "\n")
         records.append(record)

@@ -5,10 +5,10 @@ Each ``check_*`` function takes the sizes it samples (N lists, eta lists)
 and returns a `Measured`: the worst deviation under each label, judged
 against that label's bound, a constant beside the check.  ``verify`` runs
 the ``fast`` (N <= 8, dense ED on the parity blocks) or ``full`` (larger
-N, ARPACK on the parity blocks, N ~ 200 roots) arguments and reports one
-line per check; the CLI maps any failure to a nonzero exit code.  Checks
-reach the program through its module attributes at call time, so a
-perturbed function is picked up rather than a stale reference.
+N, Lanczos and ARPACK on the parity blocks, N ~ 200 roots) arguments and
+reports one line per check; the CLI maps any failure to a nonzero exit
+code.  Checks reach the program through its module attributes at call
+time, so a perturbed function is picked up rather than a stale reference.
 """
 
 from __future__ import annotations

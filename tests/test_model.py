@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 import kron_oracle
 from twistbethe import model
@@ -336,3 +337,76 @@ def test_mirrored_ed_leaves_odd_block_unbuilt():
     spec = ed_spectrum(H, 1)
     assert spec.method == "iterative"
     assert H._op._blocks[1] is None
+
+
+def _single_level_operators(N, eta):
+    # H on both boundaries (real blocks) and the twisted H2 (complex blocks)
+    return [build_hamiltonian(ModelParams(N, eta, "anti")),
+            build_hamiltonian(ModelParams(N, eta, "per")),
+            build_h2_charge(ModelParams(N, eta, "anti"))]
+
+
+@pytest.mark.parametrize("N, eta", [(N, eta) for N in (10, 11) for eta in (0.5, 2.0, 3.0)]
+                         + [(12, 3.0)])
+def test_single_level_lanczos_matches_dense(N, eta):
+    # one level without vectors takes the Lanczos branch above
+    # DENSE_SECTOR_MAX states per block.  At N = 12 a dense H2 block takes
+    # 3 s, so N = 12 checks H at eta = 3, where near-degenerate pairs make
+    # Lanczos work hardest.
+    ops = _single_level_operators(N, eta)
+    for op in ops[:2] if N == 12 else ops:
+        spec = ed_spectrum(op, 1)
+        assert spec.method == "iterative"
+        dense = ed_spectrum(op, 1, method="dense").eigenvalues[0]
+        assert abs(spec.eigenvalues[0] - dense) < 1e-12
+
+
+def _arpack_ground(op, seed):
+    # the lowest level by a direct eigsh(k=1) on each block ED solves, from
+    # the start vector ed_spectrum draws
+    blocks = op._op
+    lows = []
+    for p in (0,) if blocks.mirror is not None else (0, 1):
+        block = ChainOperator(op.n_sites, blocks.block(p))
+        v0 = np.random.default_rng(seed).standard_normal(block.dim)
+        lows.append(spla.eigsh(block.as_scipy(), k=1, which="SA", v0=v0)[0][0])
+    return min(lows)
+
+
+@pytest.mark.parametrize("eta", [0.5, 2.0, 3.0])
+@pytest.mark.parametrize("N", [13, 14, 15, 16])
+def test_single_level_lanczos_matches_arpack(N, eta):
+    ops = _single_level_operators(N, eta)
+    if N > 14:
+        ops = ops[:2]   # H2 at N = 13, 14 covers the complex blocks
+    for op in ops:
+        got = ed_spectrum(op, 1, seed=N).eigenvalues[0]
+        assert abs(got - _arpack_ground(op, N)) < 1e-12
+
+
+class _ArpackCalled(Exception):
+    pass
+
+
+def test_arpack_kept_for_several_levels_or_vectors(monkeypatch):
+    def no_arpack(*args, **kwargs):
+        raise _ArpackCalled
+
+    monkeypatch.setattr(model.spla, "eigsh", no_arpack)
+    for boundary in ("anti", "per"):
+        H = build_hamiltonian(ModelParams(12, ETA, boundary))
+        assert ed_spectrum(H, 1).method == "iterative"
+        with pytest.raises(_ArpackCalled):
+            ed_spectrum(H, 3)
+        with pytest.raises(_ArpackCalled):
+            ed_spectrum(H, 1, return_vectors=True)
+
+
+def test_lanczos_step_cap_raises_with_payload(monkeypatch):
+    monkeypatch.setattr(model, "LANCZOS_MAX_STEPS", 2)
+    H = build_hamiltonian(ModelParams(12, ETA, "anti"))
+    with pytest.raises(model.LanczosNoConvergence, match="in 2 steps") as err:
+        ed_spectrum(H, 1)
+    assert err.value.steps == 2
+    assert math.isfinite(err.value.value)
+    assert err.value.estimate > model.LANCZOS_TOL * abs(err.value.value)

@@ -127,6 +127,23 @@ def test_corrupt_cache_recomputed(tmp_path):
         assert json.loads(path.read_text())["outputs"] == rec.outputs
 
 
+@pytest.mark.parametrize("field, value", [
+    ("outputs", [1, 2]), ("params", "N=4"), ("status", "done"), ("status", 1),
+    ("error", 3), ("experiment", None), ("timestamp", 0), ("version", [0, 1]),
+])
+def test_mistyped_cache_entry_recomputed(tmp_path, field, value):
+    # a record with every field present but one of the wrong type is a miss
+    run(_cfg(tmp_path, N_list=[4]))
+    path = next((tmp_path / "cache").glob("*.json"))
+    good = json.loads(path.read_text())
+    path.write_text(json.dumps({**good, field: value}))
+    rec = run(_cfg(tmp_path, N_list=[4]))[0]
+    assert rec.status == "ok" and rec.outputs == good["outputs"]
+    assert rec.timestamp != good["timestamp"]          # recomputed, not served
+    assert json.loads(path.read_text())["outputs"] == good["outputs"]
+    emit([rec], "csv", str(tmp_path))
+
+
 def test_solve_hom_records_mode_count(tmp_path):
     # 0 on the pairwise path (small M), the Fourier-mode count K above it
     records = run(_cfg(tmp_path, experiment="SolveHom", N_list=[8, 400]))
@@ -285,6 +302,25 @@ def test_cli_fit_subcommand(tmp_path, capsys):
     with pytest.raises(SystemExit):   # one spelling per subcommand
         main(["Fit", "--kind", "power", "--input", str(path), "--y", "value"])
     capsys.readouterr()
+
+
+def test_cli_spellings_parse_through_the_library(tmp_path, capsys):
+    # --boundary and fit --kind accept what Boundary.coerce and the fit
+    # kinds accept, in any letter case; anything else is a usage error
+    out = str(tmp_path / "gap")
+    assert main(["GapScan", "--boundary", "Anti", "--n", "4", "--out", out,
+                 "--formats", "csv"]) == 0
+    assert parse_csv(next((tmp_path / "gap").glob("*.csv")))[0]["boundary"] == "antiperiodic"
+    for argv in (["GapScan", "--boundary", "twisted", "--n", "4", "--out", out],
+                 ["fit", "--kind", "power_offset", "--input", "x.csv", "--y", "v"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    path = tmp_path / "data.csv"
+    path.write_text("N,value\n" + "".join(f"{n},{2.0 * n ** -1.0}\n" for n in (4, 6, 8)))
+    assert main(["fit", "--kind", "POWER", "--input", str(path), "--y", "value"]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "power"
 
 
 def test_cli_verify_fast(tmp_path, capsys):
