@@ -735,12 +735,13 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
     the exact value.
 
     `observable` is "Energy", "Momentum" or "ChargeH2", in any letter case.
-    Energy: exact value from the lowest ED level (parity-sector ED:
-    dense eigh to N = 9, one-level Lanczos to N = 20); positive for even
-    N, negative for odd.  Momentum: the exact even-N doublet
-    values are +-i pi/2; the reduced value is compared against the member
-    it approximates (nearest branch), which makes the defect a smooth
-    single-signed sequence in N; exactly 0 for odd N.  ChargeH2: the exact
+    Energy: exact value from the lowest ED level (ED in the ground
+    level's translation sector, about 2^(N-1)/N states: dense eigh to
+    N = 12, Lanczos to N = 20); positive for even N, negative for odd.
+    Momentum: the exact even-N doublet values are +-i pi/2; the reduced
+    value is compared against the member it approximates (nearest
+    branch), which makes the defect a smooth single-signed sequence in N;
+    exactly 0 for odd N.  ChargeH2: the exact
     ground-state value vanishes; even N returns the reduced value against
     the ED doublet expectation, odd N is exactly 0 by root-set symmetry."""
     key = str(observable).strip().lower()

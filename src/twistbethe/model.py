@@ -17,18 +17,29 @@ R-matrix one site at a time, O(N 2^N) per application.  Hamiltonians are
 real symmetric; H2 and t(u) are complex.
 
 H and H2 commute with the parity P = prod sigma^z on both boundaries, and
-are held as their two P blocks, each on 2^(N-1) basis states; no 2^N CSR
-matrix is built for them.  ED solves the blocks one at a time: dense eigh
-up to DENSE_SECTOR_MAX states per block; above it, plain Lanczos when
-each block gives one level and no vectors are asked for (the ground
-energies of the finite-N scans), and ARPACK otherwise.  The iterative
-solvers carry ED to N = ITERATIVE_MAX = 20; H and H2 are refused above
-it.  Where a basis permutation commutes with the operator and flips P
-(t(0) on the twisted chain; the global spin flip for H on the periodic
-chain at odd N) the odd block is the even one re-indexed: only the even
-block is built and solved, and its levels count twice.  A dense
-2^N matrix is derived on demand only for N <= 12, a size chosen for 5 GB
-class hardware.
+are held as their two P blocks, each on 2^(N-1) basis states and built on
+first use; no 2^N CSR matrix is built for them.  Where a basis
+permutation commutes with the operator and flips P (t(0) on the twisted
+chain; the global spin flip for H on the periodic chain at odd N) the odd
+block is the even one re-indexed: only the even block is built and
+solved, and its levels count twice.  ED solves the blocks one at a time:
+dense eigh up to DENSE_SECTOR_MAX states per block; above it, plain
+Lanczos when each block gives one level and no vectors are asked for, and
+ARPACK otherwise.
+
+H also declares the translation sector that holds its ground level
+(`_ground_sector`): the even block's t(0)^2 = -1 (even N) or +1 (odd N)
+sector on the twisted chain, and the block (N/2) mod 2's shift T =
+(-1)^(N/2) sector on the periodic chain at even N.  Its basis is the
+orbit representatives of that symmetry (Sandvik, arXiv:1101.3281,
+section 4), about 2^(N-1)/N states, and its matrix comes from the same
+bit rules.  A request for one level per solved block without vectors
+(the ground energies of the finite-N scans) solves that sector alone and
+builds no parity block; the periodic chain at odd N, whose ground
+momenta make a complex sector, stays on its parity blocks.  The
+iterative solvers carry ED to N = ITERATIVE_MAX = 20; H and H2 are
+refused above it.  A dense 2^N matrix is derived on demand only for
+N <= 12, a size chosen for 5 GB class hardware.
 """
 
 from __future__ import annotations
@@ -46,8 +57,10 @@ from .common import Boundary
 
 DENSE_MAX = 12
 ITERATIVE_MAX = 20
-# largest parity block given to dense eigh (N = 9); above it ARPACK is
-# faster, by the crossover measured on a 2-core box with one BLAS thread
+# largest block given to dense eigh; above it the iterative solvers are
+# faster, by the crossovers measured on a 2-core box with one BLAS thread:
+# ARPACK on parity blocks past N = 9, and Lanczos on translation sectors,
+# which ties with eigh at 172-180 states (N = 12) and is 3x faster at 316
 DENSE_SECTOR_MAX = 256
 DEGENERACY_TOL = 1e-8
 # stop rule and step cap of the single-level Lanczos run (_lanczos_lowest).
@@ -117,21 +130,23 @@ class ChainOperator:
 class _ParityBlocks:
     """Operator commuting with P = prod sigma^z, held as its two blocks:
     `block(p)` is a CSR matrix on the basis states `states[p]` (ascending),
-    those with an even (p = 0, P = +1) or odd (p = 1) number of down spins.
-    Applied and densified by scattering through `states`.
+    those with an even (p = 0, P = +1) or odd (p = 1) number of down spins,
+    built by `build(p)` on first use.  Applied and densified by scattering
+    through `states`.
 
     `mirror`, when given, is a basis permutation, (M v)[i] = v[mirror[i]],
     that commutes with the operator and maps each sector onto the other,
-    so the odd block is the even block re-indexed.  Then only the even
-    block is built up front; the odd one is built by `build(1)` when
-    first asked for (full-space application or `toarray`)."""
+    so the odd block is the even block re-indexed and ED solves the even
+    one alone.  `ground_sector`, when given, builds the CSR matrix of the
+    operator on the one translation sector that holds its lowest level
+    (`_pauli_csr`); it allocates no parity block."""
 
-    def __init__(self, build, states, mirror):
-        self._build, self.states, self.mirror = build, states, mirror
-        self._blocks = [build(0), None if mirror is not None else build(1)]
+    def __init__(self, build, states, dtype, mirror, ground_sector):
+        self._build, self.states, self.dtype = build, states, dtype
+        self.mirror, self.ground_sector = mirror, ground_sector
+        self._blocks = [None, None]
         dim = 2 * len(states[0])
         self.shape = (dim, dim)
-        self.dtype = self._blocks[0].dtype
 
     def block(self, p):
         if self._blocks[p] is None:
@@ -155,7 +170,7 @@ class _ParityBlocks:
         return out
 
 
-def _pauli_csr(N: int, terms, mirror) -> _ParityBlocks:
+def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
     """Sum of Pauli strings as its two parity blocks, CSR with int32 indices.
 
     Each term is (coeff, ((site, "X"|"Y"|"Z"), ...)) with 1-based, distinct
@@ -166,7 +181,20 @@ def _pauli_csr(N: int, terms, mirror) -> _ParityBlocks:
     order given and zero amplitudes dropped.  The blocks are real when
     every coeff * i^(number of Y) is.  `mirror`, a function of N that
     returns the basis permutation, is called once N is admitted; its result
-    is passed on to `_ParityBlocks`, and defers the odd block.
+    is passed on to `_ParityBlocks`.
+
+    `sector`, when given, is (p, g, lam): a permutation g of the basis
+    states of parity p, applied to their indices and with g^N = 1, that
+    commutes with the sum, and a real eigenvalue lam = +-1 of it.  The
+    sector's basis states are the orbit representatives r (the least
+    index of each orbit of g) whose period R_r admits lam, lam^R_r = 1,
+    each the state R_r^(-1/2) sum_{k < R_r} lam^k g^k |r>; its matrix is
+    built by the same bit rules, from the rows r only.  A string takes r
+    to a state s = g^d r' on the orbit of r', which adds amplitude * lam^d *
+    sqrt(R_r / R_r') to the entry (r, r') (Sandvik, arXiv:1101.3281,
+    section 4); an orbit that does not admit lam takes none.  Applying g
+    N times to the block's states records each state's representative,
+    shift d and period R, as int32.
 
     Refuses N > ITERATIVE_MAX before anything of size 2^N is allocated:
     every operator built here feeds ED, which stops there."""
@@ -196,21 +224,22 @@ def _pauli_csr(N: int, terms, mirror) -> _ParityBlocks:
     m = np.arange(half, dtype=np.int32)
     states = tuple((m << 1) | ((np.bitwise_count(m) & 1) ^ p) for p in (0, 1))
 
-    def build(p):
-        rows = states[p]
+    def csr(rows, columns):
+        # one row per state in `rows`; columns(cols, amp) maps the states a
+        # flip reaches, and their amplitudes, to column indices and final
+        # amplitudes, an amplitude of 0 dropping the entry
 
         def amplitudes(flip, strings):
-            # the state each row connects to for this flip, and the amplitudes
             cols = rows ^ np.int32(flip)
-            amp = np.zeros(half, dtype=dtype)
+            amp = np.zeros(len(rows), dtype=dtype)
             for factor, signs in strings:
                 sign = 1.0 - 2.0 * (np.bitwise_count(cols & signs) & 1)
                 amp += (factor.real if real else factor) * sign
-            return cols, amp
+            return columns(cols, amp)
 
         # two passes, count then fill, so that only the final arrays are
         # allocated
-        indptr = np.zeros(half + 1, dtype=np.int32)
+        indptr = np.zeros(len(rows) + 1, dtype=np.int32)
         for flip, strings in by_flip.items():
             indptr[1:] += amplitudes(flip, strings)[1] != 0
         np.cumsum(indptr, out=indptr)
@@ -221,14 +250,47 @@ def _pauli_csr(N: int, terms, mirror) -> _ParityBlocks:
             cols, amp = amplitudes(flip, strings)
             nz = np.flatnonzero(amp)
             at = fill[nz]
-            indices[at] = cols[nz] >> 1
+            indices[at] = cols[nz]
             data[at] = amp[nz]
             fill[nz] += 1
-        block = sp.csr_matrix((data, indices, indptr), shape=(half, half))
-        block.sort_indices()
-        return block
+        matrix = sp.csr_matrix((data, indices, indptr), shape=(len(rows),) * 2)
+        # entries (r, r') reached through several states of the orbit of r'
+        matrix.sum_duplicates()
+        return matrix
 
-    return _ParityBlocks(build, states, None if mirror is None else mirror(N))
+    def block(p):
+        return csr(states[p], lambda cols, amp: (cols >> 1, amp))
+
+    def sector_block():
+        p, g, lam = sector
+        s = states[p]
+        rep, shift, period = s.copy(), np.zeros_like(s), np.zeros_like(s)
+        image = s
+        for k in range(1, N + 1):
+            image = g(image)
+            np.copyto(shift, k, where=image < rep)
+            np.minimum(rep, image, out=rep)
+            if N % k == 0:   # the period divides N
+                np.copyto(period, k, where=(image == s) & (period == 0))
+        # rep = g^k s, so s = g^(R - k) rep
+        shift = (period - shift) % period
+        keep = (rep == s) & (np.where(period & 1, lam, 1.0) == 1.0)
+        rank = np.where(keep, np.cumsum(keep, dtype=np.int32) - 1, -1)
+        target = rank[rep >> 1]
+        row_period = period[keep]
+
+        def columns(cols, amp):
+            j = cols >> 1
+            # lam^d, lam being +-1
+            amp *= np.where(shift[j] & 1, lam, 1.0) * np.sqrt(row_period / period[j])
+            col = target[j]
+            amp[col < 0] = 0.0
+            return col, amp
+
+        return csr(s[keep], columns)
+
+    return _ParityBlocks(block, states, dtype, None if mirror is None else mirror(N),
+                         None if sector is None else sector_block)
 
 
 def _bonds(params: ModelParams):
@@ -242,7 +304,9 @@ def _bonds(params: ModelParams):
 def build_hamiltonian(params: ModelParams) -> ChainOperator:
     """H = sum_bonds sx.sx + sy.sy + cosh(eta) sz.sz with the closing bond
     sign-twisted on the antiperiodic chain.  Real symmetric, held as its
-    two parity blocks; the dense matrix is derived on demand for N <= 12."""
+    two parity blocks, built on first use, and with the translation sector
+    of its ground level declared (`_ground_sector`); the dense matrix is
+    derived on demand for N <= 12."""
     N, ch = params.N, math.cosh(params.eta)
     terms = []
     for j, k, twisted in _bonds(params):
@@ -257,7 +321,33 @@ def build_hamiltonian(params: ModelParams) -> ChainOperator:
         mirror = _spin_flip_index
     else:
         mirror = None
-    return ChainOperator(N, _pauli_csr(N, terms, mirror))
+    return ChainOperator(N, _pauli_csr(N, terms, mirror, _ground_sector(params)))
+
+
+def _rotate(s, N: int, by: int, flip: bool):
+    """Basis state indices s with every spin moved `by` sites to the right,
+    the spins wrapped round from the end of the chain flipped if `flip`."""
+    wrapped = (1 << by) - 1
+    return (s >> by) | (((s & wrapped) ^ (wrapped if flip else 0)) << (N - by))
+
+
+def _ground_sector(params: ModelParams):
+    """(parity p, symmetry g, eigenvalue) of a sector of H that holds its
+    ground level, in the form `_pauli_csr` takes, or None.
+
+    Twisted chain: the even block and g = t(0)^2, with eigenvalue -1 at
+    even N and +1 at odd N, the square of the ground doublet's t(0)
+    eigenvalues +-i and +-1 (`ground_space`).  Periodic chain at even N:
+    the block (N/2) mod 2 of the S^z = 0 ground state, and the shift T,
+    with eigenvalue (-1)^(N/2) (Marshall-Lieb-Mattis).  Periodic chain at
+    odd N: None; its ground momenta k = (N+1)//4 and N - k, in units of
+    2 pi/N, give a complex sector."""
+    N = params.N
+    if params.boundary is Boundary.ANTIPERIODIC:
+        return 0, lambda s: _rotate(s, N, 2, True), -1.0 if N % 2 == 0 else 1.0
+    if N % 2 == 0:
+        return (N // 2) % 2, lambda s: _rotate(s, N, 1, False), (-1.0) ** (N // 2)
+    return None
 
 
 def _spin_flip_index(N: int) -> np.ndarray:
@@ -316,7 +406,7 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
                     coeff = coeff if pauli == "X" else -coeff
                 ops.append((site, pauli))
             terms.append((coeff, tuple(ops)))
-    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index))
+    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index, None))
 
 
 class _TransferContraction:
@@ -370,6 +460,7 @@ class SpectrumResult:
     eigenvalues: np.ndarray
     degeneracies: list[int]
     method: str
+    block_dim: int   # dimension of the largest block solved
 
 
 def _cluster(vals: np.ndarray) -> list[int]:
@@ -441,23 +532,50 @@ def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
     raise LanczosNoConvergence(LANCZOS_MAX_STEPS, theta, estimate)
 
 
+def _block_eigs(n_sites: int, block, k: int, *, seed: int, dense: bool, vectors: bool):
+    """Lowest k eigenpairs of a Hermitian CSR block, ascending: by dense
+    eigh, by Lanczos (`_lanczos_lowest`) for one level without `vectors`
+    (the vectors come back None), and by ARPACK otherwise.  The iterative
+    solvers apply the block through `matvec`, from a start vector drawn
+    from `seed`."""
+    dim = block.shape[0]
+    if dense:
+        # a private Fortran-ordered matrix that eigh overwrites in place
+        subset = (0, k - 1) if k < dim else None
+        return scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
+                                 overwrite_a=True)
+    v0 = np.random.default_rng(seed).standard_normal(dim)
+    block_op = ChainOperator(n_sites, block)
+    if k == 1 and not vectors:
+        return np.array([_lanczos_lowest(block_op, v0)]), None
+    vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None,
                  vectors: bool):
-    """Lowest eigenvalues of a Hermitian operator by parity sector, as
-    (states, values, block vectors or None) per sector, and the solver
-    that ran: "dense" (scipy eigh) for blocks of at most DENSE_SECTOR_MAX
-    states, where ARPACK cannot run (k >= dim - 1) or when forced,
-    "iterative" otherwise.  The iterative solver is Lanczos
-    (`_lanczos_lowest`) when each solved block gives one level (k = 1) and
-    no `vectors` are asked for, and ARPACK otherwise, which resolves
-    multiplicities and returns vectors.  Both apply the block through
-    `matvec`, from the same start vector drawn from `seed`.
+    """Lowest eigenvalues of a Hermitian operator by symmetry sector, as
+    (states, values, block vectors or None) per sector, the solver that
+    ran, and the dimension of the largest block solved.
 
+    A request for one level per solved block (see below), with no
+    `vectors` and no forced `method`, on an operator that declares its
+    ground sector (H; `_ground_sector`) solves that translation sector
+    alone, for its lowest level: dense eigh up to DENSE_SECTOR_MAX states
+    ("dense"), Lanczos above ("iterative").  Its parts carry no states.
+
+    Otherwise the parity blocks are solved (`_block_eigs`): "dense"
+    (scipy eigh) for blocks of at most DENSE_SECTOR_MAX states, where
+    ARPACK cannot run (k >= dim - 1) or when forced; "iterative" otherwise,
+    which is Lanczos for one level per block without `vectors`, and ARPACK,
+    which resolves multiplicities and returns vectors, for the rest.
     Without a mirror each block is solved for its lowest min(count, block
     dim) pairs.  With one, only the even block is solved, for
     min(ceil(count / 2), block dim) pairs, and the odd sector takes the
     same values with the mirrored vectors: full-space v becomes v[mirror],
-    which puts the block vector on the states inverse_mirror[states[0]]."""
+    which puts the block vector on the states inverse_mirror[states[0]].
+    A solved ground sector is listed twice where a mirror exists."""
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown ED method: {method!r}")
     if method == "dense" and op.n_sites > DENSE_MAX:
@@ -465,32 +583,25 @@ def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None
     blocks, mirror = op._op, op._op.mirror
     dim = len(blocks.states[0])
     k = min(count if mirror is None else -(-count // 2), dim)
+    if k == 1 and not vectors and method is None and blocks.ground_sector is not None:
+        block = blocks.ground_sector()
+        dense = block.shape[0] <= DENSE_SECTOR_MAX
+        vals, _ = _block_eigs(op.n_sites, block, 1, seed=seed, dense=dense, vectors=False)
+        parts = [(None, vals, None)] * (1 if mirror is None else 2)
+        return parts, "dense" if dense else "iterative", block.shape[0]
     dense = (k >= dim - 1 or method == "dense"
              or (method is None and dim <= DENSE_SECTOR_MAX))
     parts = []
     for p in (0,) if mirror is not None else (0, 1):
-        block = blocks.block(p)
-        if dense:
-            # a private Fortran-ordered matrix that eigh overwrites in place
-            subset = (0, k - 1) if k < dim else None
-            vals, vecs = scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
-                                           overwrite_a=True)
-        else:
-            v0 = np.random.default_rng(seed).standard_normal(dim)
-            block_op = ChainOperator(op.n_sites, block)
-            if k == 1 and not vectors:
-                vals, vecs = np.array([_lanczos_lowest(block_op, v0)]), None
-            else:
-                vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
-                order = np.argsort(vals)
-                vals, vecs = vals[order], vecs[:, order]
+        vals, vecs = _block_eigs(op.n_sites, blocks.block(p), k, seed=seed, dense=dense,
+                                 vectors=vectors)
         parts.append((blocks.states[p], vals, vecs))
     if mirror is not None:
         inverse = np.empty_like(mirror)
         inverse[mirror] = np.arange(len(mirror), dtype=mirror.dtype)
         states, vals, vecs = parts[0]
         parts.append((inverse[states], vals, vecs))
-    return parts, "dense" if dense else "iterative"
+    return parts, "dense" if dense else "iterative", dim
 
 
 def _full_vectors(dim: int, parts) -> np.ndarray:
@@ -511,30 +622,36 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
     parity blocks (H or H2), with degeneracy multiplicities clustered at
     1e-8.
 
-    Each parity block gives its lowest min(count, block dim) levels, by
-    dense eigh up to DENSE_SECTOR_MAX states; above it by Lanczos when each
-    solved block gives one level and `return_vectors` is off, and by
-    ARPACK otherwise (`method` forces "dense" or "iterative"; the
+    Where a parity-flipping symmetry mirrors one block onto the other (t(0)
+    on the twisted chain, the global spin flip on the periodic chain at odd
+    N) only the even block is solved, for its lowest ceil(count / 2)
+    levels, and each level is listed twice; otherwise each block gives its
+    lowest min(count, block dim) levels.  When that is one level per
+    solved block (count = 1, or count = 2 on a mirrored operator), with
+    `return_vectors` off and no `method` forced, and the operator declares
+    the translation sector of its ground level (H on the twisted chain and
+    on the periodic chain at even N), that sector is solved instead: about
+    2^(N-1)/N states (2048 at N = 16), by dense eigh up to
+    DENSE_SECTOR_MAX states and Lanczos above.  Otherwise each solved
+    parity block goes to dense eigh up to DENSE_SECTOR_MAX states; above
+    it to Lanczos for one level without vectors, and to ARPACK otherwise
+    (`method` forces "dense" or "iterative" on the parity blocks; the
     iterative solvers fall back to eigh where ARPACK cannot run).  Both
-    iterative solvers report "iterative".  The levels are merged and
-    sorted.  Where a parity-flipping symmetry mirrors one block onto the
-    other (t(0) on the twisted chain, the global spin flip on the periodic
-    chain at odd N) only the even block is solved, for its lowest
-    ceil(count / 2) levels, and each level is listed twice; the periodic
-    chain at even N solves both blocks.  The Lanczos and ARPACK start
-    vector is derived from `seed` so repeated runs are identical.  With
-    `return_vectors`, the eigenvectors come as full-space columns, each of
-    definite parity.
+    iterative solvers report "iterative", and `block_dim` is the dimension
+    of the largest block solved.  The levels are merged and sorted.  The
+    Lanczos and ARPACK start vector is derived from `seed` so repeated
+    runs are identical.  With `return_vectors`, the eigenvectors come as
+    full-space columns, each of definite parity.
     """
     if not isinstance(op._op, _ParityBlocks):
         raise ValueError("ed_spectrum needs a Hermitian operator")
     if count < 1 or count > op.dim:
         raise ValueError("count out of range")
-    parts, kind = _sector_eigs(op, count, seed=seed, method=method,
-                               vectors=return_vectors)
+    parts, kind, block_dim = _sector_eigs(op, count, seed=seed, method=method,
+                                          vectors=return_vectors)
     vals = np.concatenate([vals for _, vals, _ in parts])
     order = np.argsort(vals, kind="stable")[:count]
-    res = SpectrumResult(vals[order], _cluster(vals[order]), kind)
+    res = SpectrumResult(vals[order], _cluster(vals[order]), kind, block_dim)
     return (res, _full_vectors(op.dim, parts)[:, order]) if return_vectors else res
 
 

@@ -4,11 +4,14 @@ levels and by the acceptance suite (``tests/test_acceptance.py``).
 Each ``check_*`` function takes the sizes it samples (N lists, eta lists)
 and returns a `Measured`: the worst deviation under each label, judged
 against that label's bound, a constant beside the check.  ``verify`` runs
-the ``fast`` (N <= 8, dense ED on the parity blocks) or ``full`` (larger
-N, Lanczos and ARPACK on the parity blocks, N ~ 200 roots) arguments and
-reports one line per check; the CLI maps any failure to a nonzero exit
-code.  Checks reach the program through its module attributes at call
-time, so a perturbed function is picked up rather than a stale reference.
+the ``fast`` (N <= 8 for most checks, N <= 12 for the band-edge one) or
+``full`` (larger N, to 20 for the band-edge check; N ~ 200 roots)
+arguments and reports one line per check.  Ground energies come from ED
+in the ground level's translation sector (dense eigh to N = 12, Lanczos
+above), ground doublets from dense eigh or ARPACK on the parity blocks.
+The CLI maps any failure to a nonzero exit code.  Checks reach the
+program through its module attributes at call time, so a perturbed
+function is picked up rather than a stale reference.
 """
 
 from __future__ import annotations
@@ -372,6 +375,43 @@ def check_workbench_roundtrip(etas, sizes) -> Measured:
     return m
 
 
+# C(eta) in |E_ED - E_tl| <= C sinh(eta) e^{-c N}; the largest measured
+# |E_ED - E_tl| / (sinh(eta) e^{-c N}) is 0.306 at eta = 2 and 0.311 at
+# eta = 3, both at N = 8, and falls with N
+BAND_EDGE_C = {2.0: 0.35, 3.0: 0.35}
+EXACT_VS_BAND_EDGE_BOUNDS = {"|E_ED - E_tl| / (C sinh e^-cN)": 1.0,
+                             "ratio not rising": 0, "ratio not below e^-2c": 0}
+
+
+def check_exact_vs_band_edge(etas, sizes) -> Measured:
+    """Twisted chain at even N (in `sizes`, ascending, step 2): the exact
+    ground energy E_ED sits at the band-edge table E_tl =
+    `ground_energy_tl` up to C sinh(eta) e^{-c N}, with c =
+    `thermo._slot_sum_decay_rate(eta)` and C = BAND_EDGE_C[eta], and the
+    ratios of successive differences rise monotonically toward e^{-2c}
+    (0.433 -> 0.475 against 0.504 at eta = 2, N = 8..20; 0.172 -> 0.186
+    against 0.197 at eta = 3)."""
+    m = Measured(EXACT_VS_BAND_EDGE_BOUNDS)
+    for eta in etas:
+        c = thermo._slot_sum_decay_rate(eta)
+        envelope = BAND_EDGE_C[eta] * math.sinh(eta)
+        diffs = []
+        for N in sizes:
+            e_ed = _ed_ground(model.ModelParams(N, eta, _ANTI))
+            diffs.append(e_ed - thermo.ground_energy_tl(N, eta, _ANTI))
+            m.add("|E_ED - E_tl| / (C sinh e^-cN)",
+                  abs(diffs[-1]) / (envelope * math.exp(-c * N)), f"N={N} eta={eta}")
+        ratios = [b / a for a, b in zip(diffs, diffs[1:])]
+        for N, a, b in zip(sizes[2:], ratios, ratios[1:]):
+            m.add("ratio not rising", not b > a, f"N={N} eta={eta}")
+        for N, r in zip(sizes[1:], ratios):
+            m.add("ratio not below e^-2c", not r < math.exp(-2 * c), f"N={N} eta={eta}")
+        if ratios:
+            m.notes.append(f"ratio {ratios[0]:.3f} -> {ratios[-1]:.3f}, "
+                           f"e^-2c {math.exp(-2 * c):.3f} at eta={eta}")
+    return m
+
+
 LARGE_N_BOUNDS = {"table + hole term": 1e-5}
 
 
@@ -407,6 +447,8 @@ CHECKS = {
     "workbench-roundtrip": (check_workbench_roundtrip, ((2.0, 3.0), (4,)),
                             ((2.0, 3.0), (4,))),
     "large-n-bae-consistency": (check_large_n_consistency, None, ((200, 201),)),
+    "exact-vs-band-edge": (check_exact_vs_band_edge, ((2.0, 3.0), range(8, 13, 2)),
+                           ((2.0, 3.0), range(8, 21, 2))),
 }
 LEVELS = ("fast", "full")
 

@@ -15,6 +15,7 @@ import pytest
 from twistbethe.workbench.verify import (
     check_charges,
     check_einh_signs,
+    check_exact_vs_band_edge,
     check_inhom_vs_ed,
     check_large_n_consistency,
     check_operator_identities,
@@ -85,3 +86,9 @@ def test_criterion_10_fit_engine(report):
     report("criterion-10 fit engine", math.inf,
            check_scaling_recovery, (range(4, 20, 2),),
            ed_etas=(2.0, 3.0), ed_sizes=(4, 6, 8, 10, 12))
+
+
+def test_exact_ground_energy_at_band_edge_up_to_exponential(report):
+    # ROADMAP item 1: twisted even N = 8..20, sector ED at every size
+    report("exact ground energy vs band-edge table", math.inf,
+           check_exact_vs_band_edge, (2.0, 3.0), range(8, 21, 2))

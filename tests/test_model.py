@@ -331,12 +331,116 @@ def test_dense_threshold_respected():
 
 def test_mirrored_ed_leaves_odd_block_unbuilt():
     # the twisted chain's odd block is the even one mirrored by t(0), so
-    # building H and solving it builds the even block alone
+    # solving H on its parity blocks builds the even block alone
     H = build_hamiltonian(ModelParams(14, ETA, "anti"))
-    assert H._op._blocks[1] is None
-    spec = ed_spectrum(H, 1)
+    assert H._op._blocks == [None, None]
+    spec = ed_spectrum(H, 1, method="iterative")
     assert spec.method == "iterative"
-    assert H._op._blocks[1] is None
+    assert H._op._blocks[0] is not None and H._op._blocks[1] is None
+
+
+SECTOR_ETAS = (0.05, 0.2, 0.5, 1.0, 2.0, 3.0, 6.0)
+
+
+def _ground_sector_rule(N, boundary):
+    # the sector declared to hold the ground level: (parity block, symmetry
+    # eigenvalue), the symmetry being t(0)^2 on the twisted chain and the
+    # shift T on the periodic chain at even N
+    if boundary == "anti":
+        return 0, -1.0 if N % 2 == 0 else 1.0
+    return (N // 2) % 2, (-1.0) ** (N // 2)
+
+
+def _sector_chains(sizes):
+    # the chains that declare a ground sector: twisted, and periodic at even N
+    return [(N, b) for N in sizes for b in ("anti", "per") if b == "anti" or N % 2 == 0]
+
+
+@functools.cache
+def _sector_dim(N, boundary):
+    # dimension of the sector by its character, (1/N) sum_k lam^-k times the
+    # number of states of block p that g^k fixes, with g as an index map
+    # apart from the model's orbit tables: t(0) squared from its
+    # `_rotation_index`, or a left rotation of the bits (T^-1)
+    p, lam = _ground_sector_rule(N, boundary)
+    i = np.arange(1 << N)
+    if boundary == "anti":
+        src = model._rotation_index(N)
+        g = src[src]
+    else:
+        g = ((i << 1) | (i >> (N - 1))) & ((1 << N) - 1)
+    in_block = (np.bitwise_count(i) & 1) == p
+    image, total = i, 0.0
+    for k in range(N):
+        total += lam ** k * np.count_nonzero(in_block & (image == i))
+        image = g[image]
+    return round(total / N)
+
+
+@pytest.mark.parametrize("N, boundary", _sector_chains(range(2, 17)))
+def test_ground_sector_matches_parity_ed(N, boundary):
+    # one level without vectors goes to the ground level's translation
+    # sector; the parity blocks, dense while they have at most
+    # DENSE_SECTOR_MAX states and Lanczos above, give the reference
+    want_dim = _sector_dim(N, boundary)
+    assert want_dim < 1 << (N - 1)
+    if (N, boundary) == (16, "anti"):
+        assert want_dim == 2048
+    parity_method = "dense" if 1 << (N - 1) <= DENSE_SECTOR_MAX else "iterative"
+    for eta in SECTOR_ETAS:
+        H = build_hamiltonian(ModelParams(N, eta, boundary))
+        for count in (1, 2) if boundary == "anti" else (1,):
+            spec = ed_spectrum(H, count, seed=N)
+            assert spec.block_dim == want_dim
+            assert spec.method == ("dense" if want_dim <= DENSE_SECTOR_MAX else "iterative")
+            assert H._op._blocks == [None, None]     # no parity block was built
+            assert spec.degeneracies == [count]      # count 2: the doublet's level twice
+        ref = ed_spectrum(H, 1, seed=N, method=parity_method)
+        assert ref.block_dim == 1 << (N - 1)
+        assert abs(spec.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12 * abs(ref.eigenvalues[0])
+
+
+def test_parity_route_where_no_sector_applies():
+    # H2 and the periodic chain at odd N declare no sector; vectors, more
+    # levels or a forced method keep H on its parity blocks
+    half = 1 << 10
+    for op in (build_h2_charge(ModelParams(11, ETA, "anti")),
+               build_hamiltonian(ModelParams(11, ETA, "per"))):
+        assert op._op.ground_sector is None
+        assert ed_spectrum(op, 1).block_dim == half
+    H = build_hamiltonian(ModelParams(11, ETA, "anti"))
+    assert ed_spectrum(H, 3).block_dim == half
+    assert ed_spectrum(H, 1, method="iterative").block_dim == half
+    assert ed_spectrum(H, 1, return_vectors=True)[0].block_dim == half
+    assert ed_spectrum(H, 1).block_dim == _sector_dim(11, "anti")
+
+
+@pytest.mark.parametrize("N, boundary", _sector_chains(range(2, 9)))
+def test_ground_sector_spectrum_matches_projection(N, boundary):
+    # the whole sector spectrum against the Kronecker H on the range of
+    # the projector onto parity block p and g = lam, g built as the
+    # oracle's t(0) (twisted: squared; periodic: the shift)
+    p, lam = _ground_sector_rule(N, boundary)
+    twisted = boundary == "anti"
+    t0 = kron_oracle.transfer_matrix(0.0, 0.7, (0.0,) * N, twisted).real
+    g = t0 @ t0 if twisted else t0
+    parity = np.diag((_parity_signs(N) == (-1) ** p).astype(float))
+    projector, power = np.zeros_like(g), np.eye(1 << N)
+    for k in range(N):
+        projector += lam ** k * power / N
+        power = g @ power
+    projector = parity @ projector @ parity
+    weights, basis = np.linalg.eigh(projector)
+    basis = basis[:, weights > 0.5]
+    assert np.allclose(weights, weights > 0.5, atol=1e-12)
+    assert basis.shape[1] == _sector_dim(N, boundary)
+    for eta in (0.7, ETA):
+        H = kron_oracle.hamiltonian(N, eta, twisted)
+        sector = build_hamiltonian(ModelParams(N, eta, boundary))._op.ground_sector()
+        assert sector.format == "csr" and sector.indices.dtype == np.int32
+        got = np.linalg.eigvalsh(sector.toarray())
+        want = np.linalg.eigvalsh(basis.T @ H @ basis)
+        assert np.max(np.abs(got - want)) < 1e-12
 
 
 def _single_level_operators(N, eta):
@@ -350,12 +454,13 @@ def _single_level_operators(N, eta):
                          + [(12, 3.0)])
 def test_single_level_lanczos_matches_dense(N, eta):
     # one level without vectors takes the Lanczos branch above
-    # DENSE_SECTOR_MAX states per block.  At N = 12 a dense H2 block takes
-    # 3 s, so N = 12 checks H at eta = 3, where near-degenerate pairs make
-    # Lanczos work hardest.
+    # DENSE_SECTOR_MAX states per parity block; method="iterative" keeps H
+    # off its translation sector.  At N = 12 a dense H2 block takes 3 s, so
+    # N = 12 checks H at eta = 3, where near-degenerate pairs make Lanczos
+    # work hardest.
     ops = _single_level_operators(N, eta)
     for op in ops[:2] if N == 12 else ops:
-        spec = ed_spectrum(op, 1)
+        spec = ed_spectrum(op, 1, method="iterative")
         assert spec.method == "iterative"
         dense = ed_spectrum(op, 1, method="dense").eigenvalues[0]
         assert abs(spec.eigenvalues[0] - dense) < 1e-12
@@ -395,7 +500,7 @@ def test_arpack_kept_for_several_levels_or_vectors(monkeypatch):
     monkeypatch.setattr(model.spla, "eigsh", no_arpack)
     for boundary in ("anti", "per"):
         H = build_hamiltonian(ModelParams(12, ETA, boundary))
-        assert ed_spectrum(H, 1).method == "iterative"
+        assert ed_spectrum(H, 1, method="iterative").method == "iterative"
         with pytest.raises(_ArpackCalled):
             ed_spectrum(H, 3)
         with pytest.raises(_ArpackCalled):
@@ -406,7 +511,7 @@ def test_lanczos_step_cap_raises_with_payload(monkeypatch):
     monkeypatch.setattr(model, "LANCZOS_MAX_STEPS", 2)
     H = build_hamiltonian(ModelParams(12, ETA, "anti"))
     with pytest.raises(model.LanczosNoConvergence, match="in 2 steps") as err:
-        ed_spectrum(H, 1)
+        ed_spectrum(H, 1, method="iterative")
     assert err.value.steps == 2
     assert math.isfinite(err.value.value)
     assert err.value.estimate > model.LANCZOS_TOL * abs(err.value.value)

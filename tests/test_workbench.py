@@ -24,6 +24,8 @@ from twistbethe.workbench.cli import main
 from twistbethe.workbench.verify import (
     check_charges,
     check_einh_signs,
+    check_exact_vs_band_edge,
+    check_hom_vs_ed,
     check_inhom_vs_ed,
     check_large_n_consistency,
     check_operator_identities,
@@ -324,7 +326,7 @@ def test_cli_spellings_parse_through_the_library(tmp_path, capsys):
 
 
 def test_cli_verify_fast(tmp_path, capsys):
-    for level, passed in (("fast", "9/9"), ("full", "10/10")):
+    for level, passed in (("fast", "10/10"), ("full", "11/11")):
         assert main(["verify", "--level", level]) == 0
         assert f"OK: {passed} checks passed" in capsys.readouterr().out
 
@@ -352,9 +354,20 @@ def _rotate_t0_phases(original):
     return ground_space
 
 
+def _negate_sector_eigenvalue(original):
+    # the ground level solved in the wrong translation sector
+    def ground_sector(params):
+        sector = original(params)
+        if sector is None:
+            return None
+        parity, symmetry, eigenvalue = sector
+        return parity, symmetry, -eigenvalue
+    return ground_sector
+
+
 # (check, its arguments, label, owner, attribute, perturbation) for each
-# check behind criteria 4-9 and the density contraction; the e0_density
-# case is the test above
+# check behind criteria 4-9, the density contraction, the ED ground level
+# and its band-edge limit; the e0_density case is the test above
 PERTURBATIONS = [
     (check_inhom_vs_ed, ((4,),), "energy_inhom + 1e-7", baes, "energy_inhom",
      _offset(1e-7)),
@@ -379,6 +392,11 @@ PERTURBATIONS = [
      _rotate_t0_phases),
     (check_thermo_series, ((2.0,),), "density_fourier + 1e-9", thermo, "density_fourier",
      _offset(1e-9)),
+    (check_hom_vs_ed, (range(4, 9),), "ground sector eigenvalue * -1, periodic", model,
+     "_ground_sector", _negate_sector_eigenvalue),
+    (check_exact_vs_band_edge, ((2.0, 3.0), range(8, 13, 2)),
+     "ground sector eigenvalue * -1, twisted", model, "_ground_sector",
+     _negate_sector_eigenvalue),
 ]
 
 
