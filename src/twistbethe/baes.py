@@ -472,31 +472,34 @@ class InhomBetheRoots:
         return complex(np.sum(self.lam))
 
 
-def _bae_terms(lam: np.ndarray, N: int, eta: float):
-    """The three terms of each inhomogeneous equation at u = lam_j.
+def _tq_terms(u: complex | np.ndarray, lam: np.ndarray, N: int, eta: float):
+    """The three terms of Lambda(u) Q(u) = t1 - t2 - t3 at u, a number or
+    an array of points, for the root set lam.
 
-    t1 = e^{lam} a(lam) Q(lam - eta), t2 = e^{-lam-eta} d(lam) Q(lam + eta),
-    t3 = c(lam) a(lam) d(lam); a root set solves the equations when
-    t1 - t2 - t3 = 0 for every j.  Q(lam_j -+ eta) keeps all N factors
-    (the k = j one is sinh(-+eta)/sinh(eta) = -+1); only Q(lam_j) itself
-    vanishes."""
+    t1 = e^{u} a(u) Q(u - eta), t2 = e^{-u-eta} d(u) Q(u + eta),
+    t3 = c(u) a(u) d(u), with Q(v) = prod_k sinh(v - lam_k)/sinh(eta),
+    a(u) = sinh^N(u + eta)/sinh^N(eta), d(u) = sinh^N(u)/sinh^N(eta) and
+    c(u) = e^{u - N eta - S} - e^{-u - eta + S}, S the root sum."""
     sh = math.sinh(eta)
     S = np.sum(lam)
 
     def sf(v):
         return np.sinh(v) / sh
 
-    a = sf(lam + eta) ** N
-    d = sf(lam) ** N
-    diff_m = lam[:, None] - eta - lam[None, :]
-    diff_p = lam[:, None] + eta - lam[None, :]
-    Qm = np.prod(sf(diff_m), axis=1)
-    Qp = np.prod(sf(diff_p), axis=1)
-    c = np.exp(lam - N * eta - S) - np.exp(-lam - eta + S)
-    t1 = np.exp(lam) * a * Qm
-    t2 = np.exp(-lam - eta) * d * Qp
-    t3 = c * a * d
-    return t1, t2, t3
+    a = sf(u + eta) ** N
+    d = sf(u) ** N
+    Qm = np.prod(sf(np.subtract.outer(u - eta, lam)), axis=-1)
+    Qp = np.prod(sf(np.subtract.outer(u + eta, lam)), axis=-1)
+    c = np.exp(u - N * eta - S) - np.exp(-u - eta + S)
+    return np.exp(u) * a * Qm, np.exp(-u - eta) * d * Qp, c * a * d
+
+
+def _bae_terms(lam: np.ndarray, N: int, eta: float):
+    """The three terms of each inhomogeneous equation, `_tq_terms` at
+    u = lam_j; a root set solves the equations when t1 - t2 - t3 = 0 for
+    every j.  Q(lam_j -+ eta) keeps all N factors (the k = j one is
+    sinh(-+eta)/sinh(eta) = -+1); only Q(lam_j) itself vanishes."""
+    return _tq_terms(lam, lam, N, eta)
 
 
 def _bae_residual_vec(lam: np.ndarray, N: int, eta: float):
@@ -634,20 +637,9 @@ def _polish_inhom(lam: np.ndarray, N: int, eta: float):
 
 def tq_eigenvalue(u: complex, roots: InhomBetheRoots) -> complex:
     """Lambda(u) reconstructed from the inhomogeneous roots."""
-    lam, N, eta = roots.lam, roots.N, roots.eta
-    sh = math.sinh(eta)
-    S = np.sum(lam)
-
-    def sf(v):
-        return np.sinh(v) / sh
-
-    Q = np.prod(sf(u - lam))
-    Qm = np.prod(sf(u - eta - lam))
-    Qp = np.prod(sf(u + eta - lam))
-    a = sf(u + eta) ** N
-    d = sf(u) ** N
-    c = cmath.exp(u - N * eta - S) - cmath.exp(-u - eta + S)
-    return (cmath.exp(u) * a * Qm - cmath.exp(-u - eta) * d * Qp - c * a * d) / Q
+    lam = roots.lam
+    t1, t2, t3 = _tq_terms(u, lam, roots.N, roots.eta)
+    return (t1 - t2 - t3) / np.prod(np.sinh(u - lam) / math.sinh(roots.eta))
 
 
 def energy_inhom(roots: InhomBetheRoots, params: ModelParams) -> float:

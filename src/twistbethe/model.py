@@ -11,35 +11,41 @@ inhomogeneities (the T-Q derivation's theta_j are zero).
 Every operator comes from one of two constructions.  H, the three-site
 charge H2 and t(0) are CSR matrices: H and H2 are sums of Pauli strings
 whose bit rules (X and Y flip a bit, Y and Z contribute a sign or phase)
-give each matrix element directly, and t(0) is an index permutation.  The
-transfer matrix t(u) is applied matrix-free by contracting the six-vertex
-R-matrix one site at a time, O(N 2^N) per application.  Hamiltonians are
-real symmetric; H2 and t(u) are complex.
+give each matrix element directly, and t(0) is the permutation of a bit
+map.  The transfer matrix t(u) is applied matrix-free by contracting the
+six-vertex R-matrix one site at a time, O(N 2^N) per application.
+Hamiltonians are real symmetric; H2 and t(u) are complex.
 
-H and H2 commute with the parity P = prod sigma^z on both boundaries, and
-are held as their two P blocks, each on 2^(N-1) basis states and built on
-first use; no 2^N CSR matrix is built for them.  Where a basis
-permutation commutes with the operator and flips P (t(0) on the twisted
-chain; the global spin flip for H on the periodic chain at odd N) the odd
-block is the even one re-indexed: only the even block is built and
-solved, and its levels count twice.  ED solves the blocks one at a time:
-dense eigh up to DENSE_SECTOR_MAX states per block; above it, plain
-Lanczos when each block gives one level and no vectors are asked for, and
-ARPACK otherwise.
+Every basis symmetry is a bit map on state indices, applied to the
+states it touches (`_rotate`, `s ^ mask`), and `_symmetries` lists the
+ones each chain uses.  H and H2 commute with the parity P = prod sigma^z
+on both boundaries, and are held as their two P blocks, each on 2^(N-1)
+basis states and built on first use; no 2^N CSR matrix is built for
+them.  Where a basis permutation commutes with the operator and flips P
+(t(0) on the twisted chain; the global spin flip for H on the periodic
+chain at odd N) the odd block is the even one on the mirrored states:
+only the even block is built and solved, and its levels count twice.
+ED solves the blocks one at a time (`_block_eigs`): dense eigh up to
+DENSE_SECTOR_MAX states per block; above it, plain Lanczos when each
+block gives one level and no vectors are asked for, and ARPACK
+otherwise.  No symmetry is held as an array over the 2^N states: beyond
+the two parity state lists, a solve allocates only the block it solves
+(with a translation sector's orbit tables, 2^(N-1) int32 each) and,
+when asked for, the full-space vectors.
 
-H also declares the translation sector that holds its ground level
-(`_ground_sector`): the even block's t(0)^2 = -1 (even N) or +1 (odd N)
-sector on the twisted chain, and the block (N/2) mod 2's shift T =
-(-1)^(N/2) sector on the periodic chain at even N.  Its basis is the
-orbit representatives of that symmetry (Sandvik, arXiv:1101.3281,
-section 4), about 2^(N-1)/N states, and its matrix comes from the same
-bit rules.  A request for one level per solved block without vectors
-(the ground energies of the finite-N scans) solves that sector alone and
-builds no parity block; the periodic chain at odd N, whose ground
-momenta make a complex sector, stays on its parity blocks.  The
-iterative solvers carry ED to N = ITERATIVE_MAX = 20; H and H2 are
-refused above it.  A dense 2^N matrix is derived on demand only for
-N <= 12, a size chosen for 5 GB class hardware.
+H also declares the translation sector that holds its ground level: the
+even block's t(0)^2 = -1 (even N) or +1 (odd N) sector on the twisted
+chain, and the block (N/2) mod 2's shift T = (-1)^(N/2) sector on the
+periodic chain at even N.  Its basis is the orbit representatives of
+that symmetry (Sandvik, arXiv:1101.3281, section 4), about 2^(N-1)/N
+states, and its matrix comes from the same bit rules.  A request for one
+level per solved block without vectors (the ground energies of the
+finite-N scans) solves that sector alone and builds no parity block; the
+periodic chain at odd N, whose ground momenta make a complex sector,
+stays on its parity blocks.  The iterative solvers carry ED to N =
+ITERATIVE_MAX = 20; H and H2 are refused above it.  A dense 2^N matrix
+is derived on demand only for N <= 12, a size chosen for 5 GB class
+hardware.
 """
 
 from __future__ import annotations
@@ -134,12 +140,13 @@ class _ParityBlocks:
     built by `build(p)` on first use.  Applied and densified by scattering
     through `states`.
 
-    `mirror`, when given, is a basis permutation, (M v)[i] = v[mirror[i]],
-    that commutes with the operator and maps each sector onto the other,
-    so the odd block is the even block re-indexed and ED solves the even
-    one alone.  `ground_sector`, when given, builds the CSR matrix of the
-    operator on the one translation sector that holds its lowest level
-    (`_pauli_csr`); it allocates no parity block."""
+    `mirror`, when given, is the bit map of a basis permutation, |s> to
+    |mirror(s)>, that commutes with the operator and maps each sector onto
+    the other, so the odd block is the even block on the states
+    mirror(states[0]) and ED solves the even one alone.  `ground_sector`,
+    when given, builds the CSR matrix of the operator on the one
+    translation sector that holds its lowest level (`_pauli_csr`); it
+    allocates no parity block."""
 
     def __init__(self, build, states, dtype, mirror, ground_sector):
         self._build, self.states, self.dtype = build, states, dtype
@@ -179,9 +186,8 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
     bits, with amplitude coeff * i^(number of Y) * (-1)^(number of set bits
     of s under Y and Z).  Strings sharing a flip pattern are summed in the
     order given and zero amplitudes dropped.  The blocks are real when
-    every coeff * i^(number of Y) is.  `mirror`, a function of N that
-    returns the basis permutation, is called once N is admitted; its result
-    is passed on to `_ParityBlocks`.
+    every coeff * i^(number of Y) is.  `mirror` is passed on to
+    `_ParityBlocks`.
 
     `sector`, when given, is (p, g, lam): a permutation g of the basis
     states of parity p, applied to their indices and with g^N = 1, that
@@ -289,7 +295,7 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
 
         return csr(s[keep], columns)
 
-    return _ParityBlocks(block, states, dtype, None if mirror is None else mirror(N),
+    return _ParityBlocks(block, states, dtype, mirror,
                          None if sector is None else sector_block)
 
 
@@ -304,24 +310,16 @@ def _bonds(params: ModelParams):
 def build_hamiltonian(params: ModelParams) -> ChainOperator:
     """H = sum_bonds sx.sx + sy.sy + cosh(eta) sz.sz with the closing bond
     sign-twisted on the antiperiodic chain.  Real symmetric, held as its
-    two parity blocks, built on first use, and with the translation sector
-    of its ground level declared (`_ground_sector`); the dense matrix is
-    derived on demand for N <= 12."""
+    two parity blocks, built on first use, with its mirror and the
+    translation sector of its ground level declared (`_symmetries`); the
+    dense matrix is derived on demand for N <= 12."""
     N, ch = params.N, math.cosh(params.eta)
     terms = []
     for j, k, twisted in _bonds(params):
         sign = -1.0 if twisted else 1.0
         terms += [(1.0, ((j, "X"), (k, "X"))), (sign, ((j, "Y"), (k, "Y"))),
                   (sign * ch, ((j, "Z"), (k, "Z")))]
-    # t(0) on the twisted chain and, at odd N, the global spin flip on the
-    # periodic one commute with H and flip P
-    if params.boundary is Boundary.ANTIPERIODIC:
-        mirror = _rotation_index
-    elif N % 2:
-        mirror = _spin_flip_index
-    else:
-        mirror = None
-    return ChainOperator(N, _pauli_csr(N, terms, mirror, _ground_sector(params)))
+    return ChainOperator(N, _pauli_csr(N, terms, *_symmetries(params)))
 
 
 def _rotate(s, N: int, by: int, flip: bool):
@@ -331,52 +329,46 @@ def _rotate(s, N: int, by: int, flip: bool):
     return (s >> by) | (((s & wrapped) ^ (wrapped if flip else 0)) << (N - by))
 
 
-def _ground_sector(params: ModelParams):
-    """(parity p, symmetry g, eigenvalue) of a sector of H that holds its
-    ground level, in the form `_pauli_csr` takes, or None.
+def _symmetries(params: ModelParams):
+    """(mirror, ground sector) of the chain, each a bit map on basis state
+    indices in the form `_pauli_csr` takes, or None.
 
-    Twisted chain: the even block and g = t(0)^2, with eigenvalue -1 at
-    even N and +1 at odd N, the square of the ground doublet's t(0)
-    eigenvalues +-i and +-1 (`ground_space`).  Periodic chain at even N:
-    the block (N/2) mod 2 of the S^z = 0 ground state, and the shift T,
-    with eigenvalue (-1)^(N/2) (Marshall-Lieb-Mattis).  Periodic chain at
-    odd N: None; its ground momenta k = (N+1)//4 and N - k, in units of
-    2 pi/N, give a complex sector."""
+    The mirror commutes with H and flips P: on the twisted chain t(0),
+    |s_1 .. s_N> to |sbar_N, s_1, .., s_{N-1}>, which also commutes with
+    H2; on the periodic chain at odd N the global spin flip; none on the
+    periodic chain at even N, whose blocks hold different levels.
+
+    The ground sector is (parity p, symmetry g, eigenvalue) of a sector
+    of H that holds its ground level.  Twisted chain: the even block and
+    g = t(0)^2, with eigenvalue -1 at even N and +1 at odd N, the square
+    of the ground doublet's t(0) eigenvalues +-i and +-1 (`ground_space`).
+    Periodic chain at even N: the block (N/2) mod 2 of the S^z = 0 ground
+    state, and the shift T, with eigenvalue (-1)^(N/2)
+    (Marshall-Lieb-Mattis).  Periodic chain at odd N: None; its ground
+    momenta k = (N+1)//4 and N - k, in units of 2 pi/N, give a complex
+    sector."""
     N = params.N
     if params.boundary is Boundary.ANTIPERIODIC:
-        return 0, lambda s: _rotate(s, N, 2, True), -1.0 if N % 2 == 0 else 1.0
+        return (lambda s: _rotate(s, N, 1, True),
+                (0, lambda s: _rotate(s, N, 2, True), -1.0 if N % 2 == 0 else 1.0))
     if N % 2 == 0:
-        return (N // 2) % 2, lambda s: _rotate(s, N, 1, False), (-1.0) ** (N // 2)
-    return None
-
-
-def _spin_flip_index(N: int) -> np.ndarray:
-    """Index of the globally spin-flipped basis state."""
-    return np.arange(1 << N, dtype=np.int32) ^ np.int32((1 << N) - 1)
-
-
-def _rotation_index(N: int) -> np.ndarray:
-    """src[i] = index of the basis state whose right-rotation-and-flip is i,
-    so that (t0 v)[i] = v[src[i]]."""
-    dim = 1 << N
-    i = np.arange(dim, dtype=np.int32)
-    # t(0)|s_1..s_N> = |sbar_N, s_1, .., s_{N-1}>: new index j has MSB = ~old LSB
-    # and the rest shifted.  Invert: from j, old state is (j without MSB) << 1 | ~MSB.
-    msb = (i >> (N - 1)) & 1
-    src = ((i & ((1 << (N - 1)) - 1)) << 1) | (1 - msb)
-    return src
+        return None, ((N // 2) % 2, lambda s: _rotate(s, N, 1, False), (-1.0) ** (N // 2))
+    return lambda s: s ^ ((1 << N) - 1), None
 
 
 def build_momentum_charge(params: ModelParams) -> ChainOperator:
     """The translation-like unitary t(0) of the twisted chain: cyclic right
-    shift followed by a spin flip on the first site.  Its eigenvalue logs
-    are the momentum charge; t(0)^{2N} = 1 exactly."""
+    shift followed by a spin flip on the first site (the mirror of
+    `_symmetries`).  Its eigenvalue logs are the momentum charge;
+    t(0)^{2N} = 1 exactly."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("momentum charge is defined for the antiperiodic chain")
+    t0, _ = _symmetries(params)
     dim = 1 << params.N
-    t0 = sp.csr_matrix((np.ones(dim), _rotation_index(params.N),
-                        np.arange(dim + 1, dtype=np.int32)), shape=(dim, dim))
-    return ChainOperator(params.N, t0)
+    # column s holds one 1, in row t0(s)
+    columns = np.arange(dim + 1, dtype=np.int32)
+    matrix = sp.csc_matrix((np.ones(dim), t0(columns[:-1]), columns), shape=(dim, dim))
+    return ChainOperator(params.N, matrix.tocsr())
 
 
 def build_h2_charge(params: ModelParams) -> ChainOperator:
@@ -406,7 +398,8 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
                     coeff = coeff if pauli == "X" else -coeff
                 ops.append((site, pauli))
             terms.append((coeff, tuple(ops)))
-    return ChainOperator(N, _pauli_csr(N, terms, _rotation_index, None))
+    t0, _ = _symmetries(params)
+    return ChainOperator(N, _pauli_csr(N, terms, t0, None))
 
 
 class _TransferContraction:
@@ -501,18 +494,23 @@ def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
     rule also stops on breakdown, beta_j at rounding level, where the
     Krylov space is invariant.  Spurious copies leave the lowest value
     alone but hide multiplicities: this path serves one level without
-    vectors only."""
+    vectors only.
+
+    The vector updates, inner products and norms all come from scipy's
+    BLAS (zdotc and dznrm2 on complex blocks): mixing in numpy's, which
+    may be a different library with its own thread pool, wakes two
+    pools on every step."""
     dtype = np.result_type(op.dtype, np.float64)
-    axpy = scipy.linalg.get_blas_funcs("axpy", dtype=dtype)
+    axpy, dot, nrm2 = scipy.linalg.get_blas_funcs(("axpy", "dot", "nrm2"), dtype=dtype)
     alphas, betas = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
-    q = (v0 / np.linalg.norm(v0)).astype(dtype)
+    q = (v0 / nrm2(v0)).astype(dtype)
     q_prev = np.zeros_like(q)
     beta = norm_t = 0.0
     for j in range(LANCZOS_MAX_STEPS):
         w = op.matvec(q)
-        alphas[j] = alpha = np.vdot(q, w).real
+        alphas[j] = alpha = dot(q, w).real
         w = axpy(q_prev, axpy(q, w, a=-alpha), a=-beta)
-        betas[j] = beta = np.linalg.norm(w)
+        betas[j] = beta = nrm2(w)
         norm_t = max(norm_t, abs(alpha) + beta + (betas[j - 1] if j else 0.0))
         # the lowest pair of T_{j+1} by the LAPACK routines behind
         # eigh_tridiagonal(select="i"), called directly: at these sizes its
@@ -532,50 +530,49 @@ def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
     raise LanczosNoConvergence(LANCZOS_MAX_STEPS, theta, estimate)
 
 
-def _block_eigs(n_sites: int, block, k: int, *, seed: int, dense: bool, vectors: bool):
-    """Lowest k eigenpairs of a Hermitian CSR block, ascending: by dense
-    eigh, by Lanczos (`_lanczos_lowest`) for one level without `vectors`
-    (the vectors come back None), and by ARPACK otherwise.  The iterative
-    solvers apply the block through `matvec`, from a start vector drawn
-    from `seed`."""
+def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
+                vectors: bool):
+    """Lowest k eigenpairs of a Hermitian CSR block, ascending, and the
+    solver that ran.  "dense" (scipy eigh) when forced, where ARPACK
+    cannot run (k >= dim - 1), or for at most DENSE_SECTOR_MAX states with
+    no method forced; "iterative" otherwise: Lanczos (`_lanczos_lowest`)
+    for one level without `vectors` (the vectors come back None), ARPACK
+    for the rest.  The iterative solvers apply the block through
+    `matvec`, from a start vector drawn from `seed`."""
     dim = block.shape[0]
-    if dense:
+    if method == "dense" or k >= dim - 1 or (method is None and dim <= DENSE_SECTOR_MAX):
         # a private Fortran-ordered matrix that eigh overwrites in place
         subset = (0, k - 1) if k < dim else None
-        return scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
-                                 overwrite_a=True)
+        vals, vecs = scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
+                                       overwrite_a=True)
+        return vals, vecs, "dense"
     v0 = np.random.default_rng(seed).standard_normal(dim)
     block_op = ChainOperator(n_sites, block)
     if k == 1 and not vectors:
-        return np.array([_lanczos_lowest(block_op, v0)]), None
+        return np.array([_lanczos_lowest(block_op, v0)]), None, "iterative"
     vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], "iterative"
 
 
 def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None,
                  vectors: bool):
     """Lowest eigenvalues of a Hermitian operator by symmetry sector, as
     (states, values, block vectors or None) per sector, the solver that
-    ran, and the dimension of the largest block solved.
+    ran, and the dimension of the largest block solved; `_block_eigs`
+    picks the solver for every block.
 
     A request for one level per solved block (see below), with no
     `vectors` and no forced `method`, on an operator that declares its
-    ground sector (H; `_ground_sector`) solves that translation sector
-    alone, for its lowest level: dense eigh up to DENSE_SECTOR_MAX states
-    ("dense"), Lanczos above ("iterative").  Its parts carry no states.
+    ground sector (H; `_symmetries`) solves that translation sector alone,
+    for its lowest level.  Its parts carry no states.
 
-    Otherwise the parity blocks are solved (`_block_eigs`): "dense"
-    (scipy eigh) for blocks of at most DENSE_SECTOR_MAX states, where
-    ARPACK cannot run (k >= dim - 1) or when forced; "iterative" otherwise,
-    which is Lanczos for one level per block without `vectors`, and ARPACK,
-    which resolves multiplicities and returns vectors, for the rest.
-    Without a mirror each block is solved for its lowest min(count, block
-    dim) pairs.  With one, only the even block is solved, for
-    min(ceil(count / 2), block dim) pairs, and the odd sector takes the
-    same values with the mirrored vectors: full-space v becomes v[mirror],
-    which puts the block vector on the states inverse_mirror[states[0]].
-    A solved ground sector is listed twice where a mirror exists."""
+    Otherwise the parity blocks are solved.  Without a mirror each block
+    is solved for its lowest min(count, block dim) pairs.  With one, only
+    the even block is solved, for min(ceil(count / 2), block dim) pairs,
+    and the odd sector takes the same values with the mirrored vectors:
+    the block vector on the states mirror(states[0]).  A solved ground
+    sector is listed twice where a mirror exists."""
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown ED method: {method!r}")
     if method == "dense" and op.n_sites > DENSE_MAX:
@@ -585,23 +582,18 @@ def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None
     k = min(count if mirror is None else -(-count // 2), dim)
     if k == 1 and not vectors and method is None and blocks.ground_sector is not None:
         block = blocks.ground_sector()
-        dense = block.shape[0] <= DENSE_SECTOR_MAX
-        vals, _ = _block_eigs(op.n_sites, block, 1, seed=seed, dense=dense, vectors=False)
-        parts = [(None, vals, None)] * (1 if mirror is None else 2)
-        return parts, "dense" if dense else "iterative", block.shape[0]
-    dense = (k >= dim - 1 or method == "dense"
-             or (method is None and dim <= DENSE_SECTOR_MAX))
+        vals, _, kind = _block_eigs(op.n_sites, block, 1, seed=seed, method=None,
+                                    vectors=False)
+        return [(None, vals, None)] * (1 if mirror is None else 2), kind, block.shape[0]
     parts = []
     for p in (0,) if mirror is not None else (0, 1):
-        vals, vecs = _block_eigs(op.n_sites, blocks.block(p), k, seed=seed, dense=dense,
-                                 vectors=vectors)
+        vals, vecs, kind = _block_eigs(op.n_sites, blocks.block(p), k, seed=seed,
+                                       method=method, vectors=vectors)
         parts.append((blocks.states[p], vals, vecs))
     if mirror is not None:
-        inverse = np.empty_like(mirror)
-        inverse[mirror] = np.arange(len(mirror), dtype=mirror.dtype)
         states, vals, vecs = parts[0]
-        parts.append((inverse[states], vals, vecs))
-    return parts, "dense" if dense else "iterative", dim
+        parts.append((mirror(states), vals, vecs))
+    return parts, kind, dim
 
 
 def _full_vectors(dim: int, parts) -> np.ndarray:
@@ -624,24 +616,25 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
 
     Where a parity-flipping symmetry mirrors one block onto the other (t(0)
     on the twisted chain, the global spin flip on the periodic chain at odd
-    N) only the even block is solved, for its lowest ceil(count / 2)
-    levels, and each level is listed twice; otherwise each block gives its
-    lowest min(count, block dim) levels.  When that is one level per
-    solved block (count = 1, or count = 2 on a mirrored operator), with
-    `return_vectors` off and no `method` forced, and the operator declares
-    the translation sector of its ground level (H on the twisted chain and
-    on the periodic chain at even N), that sector is solved instead: about
-    2^(N-1)/N states (2048 at N = 16), by dense eigh up to
-    DENSE_SECTOR_MAX states and Lanczos above.  Otherwise each solved
-    parity block goes to dense eigh up to DENSE_SECTOR_MAX states; above
-    it to Lanczos for one level without vectors, and to ARPACK otherwise
-    (`method` forces "dense" or "iterative" on the parity blocks; the
-    iterative solvers fall back to eigh where ARPACK cannot run).  Both
-    iterative solvers report "iterative", and `block_dim` is the dimension
-    of the largest block solved.  The levels are merged and sorted.  The
-    Lanczos and ARPACK start vector is derived from `seed` so repeated
-    runs are identical.  With `return_vectors`, the eigenvectors come as
-    full-space columns, each of definite parity.
+    N; `_symmetries`, a bit map on basis state indices) only the even
+    block is solved, for its lowest ceil(count / 2) levels, and each level
+    is listed twice, its odd vector the even one carried through the
+    mirror; otherwise each block gives its lowest min(count, block dim)
+    levels.  When that is one level per solved block (count = 1, or
+    count = 2 on a mirrored operator), with `return_vectors` off and no
+    `method` forced, and the operator declares the translation sector of
+    its ground level (H on the twisted chain and on the periodic chain at
+    even N), that sector is solved instead: about 2^(N-1)/N states (2048
+    at N = 16).  Every solved block goes to dense eigh up to
+    DENSE_SECTOR_MAX states; above it to Lanczos for one level without
+    vectors, and to ARPACK otherwise (`method` forces "dense" or
+    "iterative" on the parity blocks; the iterative solvers fall back to
+    eigh where ARPACK cannot run).  Both iterative solvers report
+    "iterative", and `block_dim` is the dimension of the largest block
+    solved.  The levels are merged and sorted.  The Lanczos and ARPACK
+    start vector is derived from `seed` so repeated runs are identical.
+    With `return_vectors`, the eigenvectors come as full-space columns,
+    each of definite parity.
     """
     if not isinstance(op._op, _ParityBlocks):
         raise ValueError("ed_spectrum needs a Hermitian operator")
@@ -676,7 +669,7 @@ def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
 
     The twisted-chain ground level is exactly doubly degenerate: t(0)
     commutes with H and flips P, so it maps the even block's lowest state
-    v to the odd block's, v[src], and the basis is [v, v[src]].  The pair
+    v to the odd block's, t(0) v, and the basis is [v, t(0) v].  The pair
     is split by diagonalizing the 2x2 block of t(0), whose eigenvalues are
     +-i (even N) or +-1 (odd N).
     """

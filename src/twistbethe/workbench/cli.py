@@ -52,7 +52,7 @@ def _parse_eta(text: str):
         raise ConfigError(f"bad eta value: {text!r}") from None
     if not vals:
         raise ConfigError("empty eta list")
-    return vals if len(vals) > 1 else vals[0]
+    return vals
 
 
 def _parsed_by(coerce):

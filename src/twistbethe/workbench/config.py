@@ -34,12 +34,12 @@ def coerce_experiment(name) -> str:
 class ExperimentConfig:
     """One experiment sweep: grid, physical parameters, output, ED seed.
 
-    ``eta`` may be a single value or a list (swept); ``N_list`` must be
-    nonempty and ascending.
+    ``eta`` is held as the tuple of swept values and may be given as a
+    single value or a list; ``N_list`` must be nonempty and ascending.
     """
 
     experiment: str
-    eta: object = 2.0
+    eta: tuple = (2.0,)
     N_list: tuple = (4, 6, 8)
     boundary: str = "antiperiodic"
     output_dir: str = "results"
@@ -54,12 +54,11 @@ class ExperimentConfig:
 
         etas = self.eta if isinstance(self.eta, (list, tuple)) else [self.eta]
         try:
-            etas = tuple(float(e) for e in etas)
+            self.eta = tuple(float(e) for e in etas)
         except (TypeError, ValueError):
             raise ConfigError(f"eta must be a number or list: {self.eta!r}") from None
-        if not etas or any(e <= 0 for e in etas):
+        if not self.eta or any(e <= 0 for e in self.eta):
             raise ConfigError("eta values must be positive")
-        self.eta = etas if len(etas) > 1 else etas[0]
 
         try:
             ns = tuple(int(n) for n in self.N_list)
@@ -75,11 +74,6 @@ class ExperimentConfig:
 
         self.output_dir = str(self.output_dir)
         self.seed = int(self.seed)
-
-    @property
-    def etas(self) -> tuple:
-        """Always a tuple, regardless of scalar or list input."""
-        return self.eta if isinstance(self.eta, tuple) else (self.eta,)
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentConfig":

@@ -261,14 +261,14 @@ def _grid(config: ExperimentConfig):
     boundary = config.boundary.value
     points = []
     if config.experiment == "Thermo":
-        for eta in config.etas:
-            params = {"eta": float(eta), "seed": config.seed}
+        for eta in config.eta:
+            params = {"eta": eta, "seed": config.seed}
             points.append((params, lambda c, e=eta: body(c, e, None)))
         return points
 
-    for eta in config.etas:
+    for eta in config.eta:
         for N in config.N_list:
-            params = {"eta": float(eta), "N": int(N), "boundary": boundary,
+            params = {"eta": eta, "N": int(N), "boundary": boundary,
                       "seed": config.seed}
             points.append((params, lambda c, e=eta, n=N: body(c, e, n)))
     return points

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,10 +169,12 @@ def test_sector_ed_matches_kron_oracle(N, boundary, count, method):
 
 
 def _mirrored_even_block(blocks):
-    # the odd block's entry (a, b) mirrored: the operator at mirror[odd_a],
-    # mirror[odd_b], two even states whose ranks are their indices >> 1
-    perm = blocks.mirror[blocks.states[1]] >> 1
-    return blocks.block(0)[perm][:, perm]
+    # the even block carried onto the odd states by the mirror's bit map:
+    # the even state of rank e goes to the odd state mirror(states[0][e]),
+    # whose rank is its index >> 1, so row and column e move to that rank
+    rank = blocks.mirror(blocks.states[0]) >> 1
+    order = np.argsort(rank)   # the even rank that lands on each odd rank
+    return blocks.block(0)[order][:, order]
 
 
 @pytest.mark.parametrize("N", range(2, DENSE_MAX + 1))
@@ -190,6 +193,40 @@ def test_parity_mirror_maps_even_block_onto_odd(N):
         blocks = op._op
         diff = blocks.block(1) - _mirrored_even_block(blocks)
         assert abs(diff).max() <= 1e-14
+
+
+@pytest.mark.parametrize("N", range(2, 15))
+def test_mirror_carries_the_even_member_onto_the_odd(N):
+    # the odd member of a mirrored pair is the even one carried through the
+    # mirror in its direction, bit for bit: t(0) v on the twisted chain, and
+    # the spin-flipped v (index s to 2^N - 1 - s) on the periodic chain at
+    # odd N
+    params = ModelParams(N, ETA, "anti")
+    vectors = ground_space(params).vectors
+    assert np.array_equal(vectors[:, 1], build_momentum_charge(params).matvec(vectors[:, 0]))
+    if N % 2:
+        _, vectors = ed_spectrum(build_hamiltonian(ModelParams(N, ETA, "per")), 2,
+                                 return_vectors=True)
+        assert np.array_equal(vectors[:, 1], vectors[::-1, 0])
+
+
+@pytest.mark.parametrize("N, boundary", [(16, "anti"), (16, "per"), (15, "per")])
+def test_hamiltonian_holds_no_full_space_table(N, boundary):
+    # a built H keeps its two parity state lists, 2^(N-1) int32 each, and
+    # no other array that grows with 2^N: its symmetries are bit maps.
+    # Counted are the array buffers numpy reports to tracemalloc; the
+    # operator's Python objects (its Pauli strings, about 16 kB at N = 16,
+    # more on a process's first build) are left out
+    tracemalloc.start()
+    try:
+        H = build_hamiltonian(ModelParams(N, ETA, boundary))
+        arrays = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+        retained = sum(trace.size for trace in
+                       tracemalloc.take_snapshot().filter_traces([arrays]).traces)
+    finally:
+        tracemalloc.stop()
+    assert H._op._blocks == [None, None]
+    assert retained <= (1 << N) * 4 + 16 * 1024
 
 
 def test_spectrum_contract():
@@ -360,15 +397,16 @@ def _sector_chains(sizes):
 def _sector_dim(N, boundary):
     # dimension of the sector by its character, (1/N) sum_k lam^-k times the
     # number of states of block p that g^k fixes, with g as an index map
-    # apart from the model's orbit tables: t(0) squared from its
-    # `_rotation_index`, or a left rotation of the bits (T^-1)
+    # built from the bits apart from the model: t(0)^-2, a left rotation by
+    # two sites with the two spins wrapped round flipped, or a left rotation
+    # by one site (T^-1)
     p, lam = _ground_sector_rule(N, boundary)
     i = np.arange(1 << N)
+    mask = (1 << N) - 1
     if boundary == "anti":
-        src = model._rotation_index(N)
-        g = src[src]
+        g = ((i << 2) & mask) | ((i >> (N - 2)) ^ 3)
     else:
-        g = ((i << 1) | (i >> (N - 1))) & ((1 << N) - 1)
+        g = ((i << 1) | (i >> (N - 1))) & mask
     in_block = (np.bitwise_count(i) & 1) == p
     image, total = i, 0.0
     for k in range(N):

@@ -75,7 +75,7 @@ def test_from_dict_overrides(tmp_path):
     cfg = ExperimentConfig.from_dict(
         {"experiment": "GapScan", "eta": 1.0, "N_list": [4]},
         {"eta": [2.0, 3.0], "output_dir": str(tmp_path), "seed": None})
-    assert cfg.etas == (2.0, 3.0)
+    assert cfg.eta == (2.0, 3.0)
     assert cfg.seed == 0
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "GapScan", "bogus": 1})
@@ -356,13 +356,13 @@ def _rotate_t0_phases(original):
 
 def _negate_sector_eigenvalue(original):
     # the ground level solved in the wrong translation sector
-    def ground_sector(params):
-        sector = original(params)
-        if sector is None:
-            return None
-        parity, symmetry, eigenvalue = sector
-        return parity, symmetry, -eigenvalue
-    return ground_sector
+    def symmetries(params):
+        mirror, sector = original(params)
+        if sector is not None:
+            parity, symmetry, eigenvalue = sector
+            sector = parity, symmetry, -eigenvalue
+        return mirror, sector
+    return symmetries
 
 
 # (check, its arguments, label, owner, attribute, perturbation) for each
@@ -393,9 +393,9 @@ PERTURBATIONS = [
     (check_thermo_series, ((2.0,),), "density_fourier + 1e-9", thermo, "density_fourier",
      _offset(1e-9)),
     (check_hom_vs_ed, (range(4, 9),), "ground sector eigenvalue * -1, periodic", model,
-     "_ground_sector", _negate_sector_eigenvalue),
+     "_symmetries", _negate_sector_eigenvalue),
     (check_exact_vs_band_edge, ((2.0, 3.0), range(8, 13, 2)),
-     "ground sector eigenvalue * -1, twisted", model, "_ground_sector",
+     "ground sector eigenvalue * -1, twisted", model, "_symmetries",
      _negate_sector_eigenvalue),
 ]
 
