@@ -37,7 +37,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
 from . import model as _model
 from . import thermo as _thermo
@@ -333,12 +332,14 @@ def counting_function(x, roots: "BetheRootsX"):
 def hole_rapidity(roots: BetheRootsX, twice_I_hole: int) -> float:
     """Position x0 of the hole with quantum number 2I: the counting-function
     preimage of I/N inside the fundamental window."""
+    # Imported here: scipy.optimize costs ~0.2 s of start-up that ED runs never use.
+    from scipy.optimize import brentq
     eta = roots.eta
     target = twice_I_hole / (2.0 * roots.qn.N)
     lo, hi = -math.pi / eta, math.pi / eta
     theta2_sum = _Theta2Sum(roots.x, eta, roots.modes)   # the sources stay fixed
     f = lambda x: _counting(x, roots, theta2_sum) - target
-    return float(scipy.optimize.brentq(f, lo, hi, xtol=1e-14))
+    return float(brentq(f, lo, hi, xtol=1e-14))
 
 
 def _decoupled_roots(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.ndarray:

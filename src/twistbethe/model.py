@@ -533,14 +533,18 @@ def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
 def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
                 vectors: bool):
     """Lowest k eigenpairs of a Hermitian CSR block, ascending, and the
-    solver that ran.  "dense" (scipy eigh) when forced, where ARPACK
-    cannot run (k >= dim - 1), or for at most DENSE_SECTOR_MAX states with
-    no method forced; "iterative" otherwise: Lanczos (`_lanczos_lowest`)
-    for one level without `vectors` (the vectors come back None), ARPACK
-    for the rest.  The iterative solvers apply the block through
-    `matvec`, from a start vector drawn from `seed`."""
+    solver that ran.  "dense" (scipy eigh) when forced, for at most
+    DENSE_SECTOR_MAX states with no method forced, and, even when
+    "iterative" is forced, wherever ARPACK's default Krylov space of
+    max(2k + 1, 20) vectors would span the whole block: there its levels
+    and vectors changed from call to call, from the same start vector.
+    "iterative" otherwise: Lanczos (`_lanczos_lowest`) for one level
+    without `vectors` (the vectors come back None), ARPACK for the rest.
+    The iterative solvers apply the block through `matvec`, from a start
+    vector drawn from `seed`."""
     dim = block.shape[0]
-    if method == "dense" or k >= dim - 1 or (method is None and dim <= DENSE_SECTOR_MAX):
+    if (method == "dense" or dim <= max(2 * k + 1, 20)
+            or (method is None and dim <= DENSE_SECTOR_MAX)):
         # a private Fortran-ordered matrix that eigh overwrites in place
         subset = (0, k - 1) if k < dim else None
         vals, vecs = scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
@@ -628,11 +632,13 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
     at N = 16).  Every solved block goes to dense eigh up to
     DENSE_SECTOR_MAX states; above it to Lanczos for one level without
     vectors, and to ARPACK otherwise (`method` forces "dense" or
-    "iterative" on the parity blocks; the iterative solvers fall back to
-    eigh where ARPACK cannot run).  Both iterative solvers report
-    "iterative", and `block_dim` is the dimension of the largest block
-    solved.  The levels are merged and sorted.  The Lanczos and ARPACK
-    start vector is derived from `seed` so repeated runs are identical.
+    "iterative" on the parity blocks; a forced "iterative" still runs
+    eigh, and reports "dense", on blocks of at most max(2k + 1, 20)
+    states for k levels, where ARPACK's Krylov space would be the whole
+    block).  Both iterative solvers report "iterative", and `block_dim`
+    is the dimension of the largest block solved.  The levels are merged
+    and sorted.  The Lanczos and ARPACK start vector is derived from
+    `seed` so repeated runs are identical.
     With `return_vectors`, the eigenvectors come as full-space columns,
     each of definite parity.
     """

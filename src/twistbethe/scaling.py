@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
 
 __all__ = [
     "Sample",
@@ -142,6 +141,18 @@ def _project(beta: float, t, vals):
     coef = np.linalg.lstsq(basis, vals, rcond=None)[0]
     r = basis @ coef - vals
     return float(r @ r), coef[0], coef[1]
+
+
+# Module-level forwarders, looked up by name on every call so a tracer can
+# patch them; each imports scipy.optimize on first use (~0.2 s of start-up).
+def least_squares(*args, **kwargs):
+    from scipy.optimize import least_squares
+    return least_squares(*args, **kwargs)
+
+
+def minimize_scalar(*args, **kwargs):
+    from scipy.optimize import minimize_scalar
+    return minimize_scalar(*args, **kwargs)
 
 
 def _fit_offset(kind: str, Ns, vals):

@@ -22,7 +22,6 @@ import itertools
 import math
 
 import numpy as np
-import scipy.optimize
 
 from .common import Boundary, Parity
 
@@ -242,6 +241,8 @@ def hole_quantization_energy(N: int, eta: float, boundary) -> float:
     that N, the worst deviation was 3e-8 for 0.8 <= eta <= 16 and 5e-7 (float
     rounding) at eta = 20.
     """
+    # Imported here: scipy.optimize costs ~0.2 s of start-up that ED runs never use.
+    from scipy.optimize import brentq
     _check_eta(eta)
     boundary = Boundary.coerce(boundary)
     rate = _slot_sum_decay_rate(eta)
@@ -258,7 +259,7 @@ def hole_quantization_energy(N: int, eta: float, boundary) -> float:
         return N * _edge_count(delta, eta) / (2.0 * math.pi) + drift * delta - 0.25
 
     edge = math.pi / eta
-    delta = scipy.optimize.brentq(condition, 0.0, edge, xtol=1e-15)
+    delta = brentq(condition, 0.0, edge, xtol=1e-15)
     return hole_energy(edge - delta, eta) - hole_energy(edge, eta)
 
 

@@ -36,15 +36,6 @@ def test_two_site_closed_form():
     assert energy_inhom(roots, params) == pytest.approx(-2.0, abs=1e-10)
 
 
-def test_energy_matches_ed():
-    for N in (3, 4, 5, 6):
-        params, roots = _solve(N)
-        e = energy_inhom(roots, params)
-        ed = ed_spectrum(build_hamiltonian(params), 1).eigenvalues[0]
-        assert e == pytest.approx(ed, abs=1e-10)
-        assert roots.residual < 1e-9
-
-
 def test_eigenvalue_reconstruction():
     rng = np.random.default_rng(12)
     for N in (3, 4, 6):
@@ -132,3 +123,20 @@ def test_other_anisotropy():
     e = energy_inhom(roots, params)
     ed = ed_spectrum(build_hamiltonian(params), 1).eigenvalues[0]
     assert e == pytest.approx(ed, abs=1e-9)
+
+
+# solve_inhom_baes accepts any N <= 12.  These five points inside that range
+# fail the Q-fit gate today (residuals 8.4e-5, 1.2e-6, 3.5e-3, 1.6e-3, 8.6e-4 against
+# 1e-6); strict, so a fix that makes one pass has to remove its mark here.
+_INHOM_FAILING = {(2.0, 12), (3.0, 9), (3.0, 10), (3.0, 11), (3.0, 12)}
+
+
+@pytest.mark.parametrize("eta, N", [
+    pytest.param(eta, N, marks=pytest.mark.xfail(strict=True, raises=baes.ConvergenceError))
+    if (eta, N) in _INHOM_FAILING else (eta, N)
+    for eta in (1.0, 2.0, 3.0) for N in range(3, 13)])
+def test_inhom_energy_matches_sector_ed_over_promised_range(eta, N):
+    params, roots = _solve(N, eta)
+    ed = ed_spectrum(build_hamiltonian(params), 1).eigenvalues[0]
+    assert abs(energy_inhom(roots, params) - ed) <= 1e-12 * abs(ed)
+    assert roots.residual < 1e-9

@@ -553,3 +553,20 @@ def test_lanczos_step_cap_raises_with_payload(monkeypatch):
     assert err.value.steps == 2
     assert math.isfinite(err.value.value)
     assert err.value.estimate > model.LANCZOS_TOL * abs(err.value.value)
+
+
+@pytest.mark.parametrize("op, count", [
+    (build_hamiltonian(ModelParams(4, 2.0, "per")), 5),
+    (build_hamiltonian(ModelParams(4, 2.0, "per")), 6),
+    (build_h2_charge(ModelParams(4, 1.3, "anti")), 5),
+])
+def test_forced_iterative_on_tiny_blocks_is_reproducible(op, count):
+    # ARPACK's Krylov space would be the whole 8-state block, and it
+    # restarts from its own persistent generator: such blocks go to eigh,
+    # so the zero levels and their vectors repeat bit for bit
+    first, vecs = ed_spectrum(op, count, method="iterative", return_vectors=True)
+    assert first.method == "dense"
+    for _ in range(10):
+        spec, again = ed_spectrum(op, count, method="iterative", return_vectors=True)
+        assert np.array_equal(spec.eigenvalues, first.eigenvalues)
+        assert np.array_equal(again, vecs)
