@@ -40,7 +40,7 @@ import numpy as np
 
 from . import model as _model
 from . import thermo as _thermo
-from .common import Boundary, Parity
+from .common import Boundary, has_hole
 from .model import ModelParams
 
 
@@ -115,30 +115,25 @@ def _slot_window(N: int, M: int, boundary: Boundary) -> np.ndarray:
     return np.arange(lo, lo + 2 * n_slots, 2)
 
 
+def _ground_root_count(N: int, boundary: Boundary) -> int:
+    """M of the ground state: (N + 1)//2 on the twisted chain, N//2 on the
+    periodic one."""
+    return (N + 1) // 2 if boundary is Boundary.ANTIPERIODIC else N // 2
+
+
 def ground_quantum_numbers(N: int, boundary) -> QuantumNumbers:
     """Ground-state quantum numbers of all four (boundary, parity) cases.
 
-    The hole-free cases fill every slot; the hole-carrying cases (twisted
-    even, periodic odd) leave the lowest slot empty, which together with
+    The hole-free cases fill every slot of the window; in the
+    hole-carrying cases (twisted even, periodic odd; `has_hole`) the
+    window has M + 1 slots and its lowest stays empty, which together with
     its mirror image spans the degenerate ground doublet."""
     boundary = Boundary.coerce(boundary)
     if N < 2:
         raise ValueError("need N >= 2")
-    if boundary is Boundary.ANTIPERIODIC:
-        if N % 2 == 0:
-            M = N // 2
-            ti = range(-M + 2, M + 1, 2)   # hole at the -M edge slot
-        else:
-            M = (N + 1) // 2
-            ti = range(-M + 1, M, 2)       # all M slots filled
-    else:
-        if N % 2 == 0:
-            M = N // 2
-            ti = range(-M + 1, M, 2)
-        else:
-            M = (N - 1) // 2
-            ti = range(-M + 2, M + 1, 2)   # hole at the -M edge slot
-    return QuantumNumbers(tuple(ti), N, boundary)
+    M = _ground_root_count(N, boundary)
+    slots = _slot_window(N, M, boundary)
+    return QuantumNumbers(tuple(slots[len(slots) - M:]), N, boundary)
 
 
 def excited_quantum_numbers(N: int, boundary, holes: int,
@@ -150,13 +145,12 @@ def excited_quantum_numbers(N: int, boundary, holes: int,
     are excluded.  Two-hole configurations lower M by one and exist in the
     complementary cases (twisted odd, periodic even)."""
     boundary = Boundary.coerce(boundary)
-    parity = Parity.of(N)
-    one_hole_case = (boundary is Boundary.ANTIPERIODIC) == (parity is Parity.EVEN)
+    one_hole_case = has_hole(N, boundary)
+    M = _ground_root_count(N, boundary)
     if holes == 1:
         if not one_hole_case:
             raise ValueError("one-hole excitations need the hole-carrying ground state "
                              "(twisted even N or periodic odd N)")
-        M = N // 2 if boundary is Boundary.ANTIPERIODIC else (N - 1) // 2
         slots = _slot_window(N, M, boundary)
         assert len(slots) == M + 1
         configs = []
@@ -167,7 +161,7 @@ def excited_quantum_numbers(N: int, boundary, holes: int,
         if one_hole_case:
             raise ValueError("two-hole excitations change M; they are the lowest "
                              "excitations only for twisted odd N or periodic even N")
-        M = (N - 1) // 2 if boundary is Boundary.ANTIPERIODIC else N // 2 - 1
+        M -= 1
         slots = _slot_window(N, M, boundary)
         assert len(slots) == M + 2
         configs = []
@@ -480,7 +474,12 @@ def _tq_terms(u: complex | np.ndarray, lam: np.ndarray, N: int, eta: float):
     t1 = e^{u} a(u) Q(u - eta), t2 = e^{-u-eta} d(u) Q(u + eta),
     t3 = c(u) a(u) d(u), with Q(v) = prod_k sinh(v - lam_k)/sinh(eta),
     a(u) = sinh^N(u + eta)/sinh^N(eta), d(u) = sinh^N(u)/sinh^N(eta) and
-    c(u) = e^{u - N eta - S} - e^{-u - eta + S}, S the root sum."""
+    c(u) = e^{u - N eta - S} - e^{-u - eta + S}, S the root sum.
+
+    At u = lam (each equation at its own root) a root set solves the
+    inhomogeneous equations when t1 - t2 - t3 = 0 for every j.
+    Q(lam_j -+ eta) keeps all N factors (the k = j one is
+    sinh(-+eta)/sinh(eta) = -+1); only Q(lam_j) itself vanishes."""
     sh = math.sinh(eta)
     S = np.sum(lam)
 
@@ -495,21 +494,13 @@ def _tq_terms(u: complex | np.ndarray, lam: np.ndarray, N: int, eta: float):
     return np.exp(u) * a * Qm, np.exp(-u - eta) * d * Qp, c * a * d
 
 
-def _bae_terms(lam: np.ndarray, N: int, eta: float):
-    """The three terms of each inhomogeneous equation, `_tq_terms` at
-    u = lam_j; a root set solves the equations when t1 - t2 - t3 = 0 for
-    every j.  Q(lam_j -+ eta) keeps all N factors (the k = j one is
-    sinh(-+eta)/sinh(eta) = -+1); only Q(lam_j) itself vanishes."""
-    return _tq_terms(lam, lam, N, eta)
-
-
 def _bae_residual_vec(lam: np.ndarray, N: int, eta: float):
-    t1, t2, t3 = _bae_terms(lam, N, eta)
+    t1, t2, t3 = _tq_terms(lam, lam, N, eta)
     return t1 - t2 - t3
 
 
 def bae_relative_residual(lam: np.ndarray, N: int, eta: float) -> float:
-    t1, t2, t3 = _bae_terms(lam, N, eta)
+    t1, t2, t3 = _tq_terms(lam, lam, N, eta)
     scale = max(np.abs(t1).max(), np.abs(t2).max(), np.abs(t3).max(), 1e-300)
     return float(np.abs(t1 - t2 - t3).max() / scale)
 

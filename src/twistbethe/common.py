@@ -1,4 +1,5 @@
-"""Shared enumerations for boundary kind and chain-length parity."""
+"""Shared enumerations for boundary kind and chain-length parity, and the
+one rule for which ground states carry a hole."""
 
 from __future__ import annotations
 
@@ -42,3 +43,9 @@ class Parity(enum.Enum):
     @classmethod
     def of(cls, n: int) -> "Parity":
         return cls.EVEN if n % 2 == 0 else cls.ODD
+
+
+def has_hole(N: int, boundary: Boundary) -> bool:
+    """Whether the ground state of N sites carries one hole: on the twisted
+    chain at even N and on the periodic chain at odd N."""
+    return (boundary is Boundary.ANTIPERIODIC) == (Parity.of(N) is Parity.EVEN)

@@ -26,23 +26,25 @@ them.  Where a basis permutation commutes with the operator and flips P
 chain at odd N) the odd block is the even one on the mirrored states:
 only the even block is built and solved, and its levels count twice.
 ED solves the blocks one at a time (`_block_eigs`): dense eigh up to
-DENSE_SECTOR_MAX states per block; above it, plain Lanczos when each
-block gives one level and no vectors are asked for, and ARPACK
-otherwise.  No symmetry is held as an array over the 2^N states: beyond
-the two parity state lists, a solve allocates only the block it solves
-(with a translation sector's orbit tables, 2^(N-1) int32 each) and,
-when asked for, the full-space vectors.
+DENSE_SECTOR_MAX states per block; above it, plain Lanczos for one
+level without its vector, and ARPACK otherwise.  No symmetry is held as
+an array over the 2^N states: beyond the two parity state lists, a solve
+allocates only the block it solves (with a translation sector's orbit
+tables, 2^(N-1) int32 each) and, in `ground_space`, the two full-space
+vectors.
 
 H also declares the translation sector that holds its ground level: the
 even block's t(0)^2 = -1 (even N) or +1 (odd N) sector on the twisted
 chain, and the block (N/2) mod 2's shift T = (-1)^(N/2) sector on the
 periodic chain at even N.  Its basis is the orbit representatives of
 that symmetry (Sandvik, arXiv:1101.3281, section 4), about 2^(N-1)/N
-states, and its matrix comes from the same bit rules.  A request for one
-level per solved block without vectors (the ground energies of the
-finite-N scans) solves that sector alone and builds no parity block; the
-periodic chain at odd N, whose ground momenta make a complex sector,
-stays on its parity blocks.  The iterative solvers carry ED to N =
+states, and its matrix comes from the same bit rules.  `ed_spectrum`
+returns levels only; a request for one level per solved block (the
+ground energies of the finite-N scans) solves that sector alone and
+builds no parity block, and so does `ground_space`, the one source of
+eigenvectors, which spreads the sector's lowest vector onto the even
+block.  The periodic chain at odd N, whose ground momenta make a complex
+sector, stays on its parity blocks.  The iterative solvers carry ED to N =
 ITERATIVE_MAX = 20; H and H2 are refused above it.  A dense 2^N matrix
 is derived on demand only for N <= 12, a size chosen for 5 GB class
 hardware.
@@ -145,8 +147,9 @@ class _ParityBlocks:
     the other, so the odd block is the even block on the states
     mirror(states[0]) and ED solves the even one alone.  `ground_sector`,
     when given, builds the CSR matrix of the operator on the one
-    translation sector that holds its lowest level (`_pauli_csr`); it
-    allocates no parity block."""
+    translation sector that holds its lowest level, with the map that
+    spreads sector vectors onto the states of its parity block
+    (`_pauli_csr`); it allocates no parity block."""
 
     def __init__(self, build, states, dtype, mirror, ground_sector):
         self._build, self.states, self.dtype = build, states, dtype
@@ -200,7 +203,10 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
     sqrt(R_r / R_r') to the entry (r, r') (Sandvik, arXiv:1101.3281,
     section 4); an orbit that does not admit lam takes none.  Applying g
     N times to the block's states records each state's representative,
-    shift d and period R, as int32.
+    shift d and period R, as int32.  The sector builder returns the matrix
+    with `spread`, which takes a sector vector x to the vector on the
+    block's states whose entry at g^d r is lam^d R_r^(-1/2) x_r, and 0
+    on the orbits outside the sector.
 
     Refuses N > ITERATIVE_MAX before anything of size 2^N is allocated:
     every operator built here feeds ED, which stops there."""
@@ -293,7 +299,12 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
             amp[col < 0] = 0.0
             return col, amp
 
-        return csr(s[keep], columns)
+        def spread(x):
+            out = x[target] * (np.where(shift & 1, lam, 1.0) / np.sqrt(period))
+            out[target < 0] = 0.0
+            return out
+
+        return csr(s[keep], columns), spread
 
     return _ParityBlocks(block, states, dtype, mirror,
                          None if sector is None else sector_block)
@@ -559,99 +570,65 @@ def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
     return vals[order], vecs[:, order], "iterative"
 
 
-def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None,
-                 vectors: bool):
-    """Lowest eigenvalues of a Hermitian operator by symmetry sector, as
-    (states, values, block vectors or None) per sector, the solver that
-    ran, and the dimension of the largest block solved; `_block_eigs`
-    picks the solver for every block.
+def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None):
+    """Lowest eigenvalues of a Hermitian operator by symmetry sector, one
+    ascending array per sector, the solver that ran, and the dimension of
+    the largest block solved; `_block_eigs` picks the solver for every
+    block.
 
-    A request for one level per solved block (see below), with no
-    `vectors` and no forced `method`, on an operator that declares its
-    ground sector (H; `_symmetries`) solves that translation sector alone,
-    for its lowest level.  Its parts carry no states.
-
-    Otherwise the parity blocks are solved.  Without a mirror each block
-    is solved for its lowest min(count, block dim) pairs.  With one, only
-    the even block is solved, for min(ceil(count / 2), block dim) pairs,
-    and the odd sector takes the same values with the mirrored vectors:
-    the block vector on the states mirror(states[0]).  A solved ground
-    sector is listed twice where a mirror exists."""
+    A request for one level per solved block (see below) with no forced
+    `method`, on an operator that declares its ground sector (H;
+    `_symmetries`), solves that translation sector alone, for its lowest
+    level.  Otherwise the parity blocks are solved: without a mirror each
+    for its lowest min(count, block dim) levels, with one only the even
+    block, for min(ceil(count / 2), block dim).  Where a mirror exists the
+    solved values are listed twice, once for each parity."""
     if method not in (None, "dense", "iterative"):
         raise ValueError(f"unknown ED method: {method!r}")
     if method == "dense" and op.n_sites > DENSE_MAX:
         raise ValueError("no dense realization available")
     blocks, mirror = op._op, op._op.mirror
-    dim = len(blocks.states[0])
-    k = min(count if mirror is None else -(-count // 2), dim)
-    if k == 1 and not vectors and method is None and blocks.ground_sector is not None:
-        block = blocks.ground_sector()
-        vals, _, kind = _block_eigs(op.n_sites, block, 1, seed=seed, method=None,
+    k = min(count if mirror is None else -(-count // 2), len(blocks.states[0]))
+    if k == 1 and method is None and blocks.ground_sector is not None:
+        solved = [blocks.ground_sector()[0]]
+    else:
+        solved = [blocks.block(p) for p in ((0,) if mirror is not None else (0, 1))]
+    values = []
+    for block in solved:
+        vals, _, kind = _block_eigs(op.n_sites, block, k, seed=seed, method=method,
                                     vectors=False)
-        return [(None, vals, None)] * (1 if mirror is None else 2), kind, block.shape[0]
-    parts = []
-    for p in (0,) if mirror is not None else (0, 1):
-        vals, vecs, kind = _block_eigs(op.n_sites, blocks.block(p), k, seed=seed,
-                                       method=method, vectors=vectors)
-        parts.append((blocks.states[p], vals, vecs))
-    if mirror is not None:
-        states, vals, vecs = parts[0]
-        parts.append((mirror(states), vals, vecs))
-    return parts, kind, dim
-
-
-def _full_vectors(dim: int, parts) -> np.ndarray:
-    """Block eigenvectors scattered into the full space, one column each, in
-    the order of `parts`."""
-    out = np.zeros((dim, sum(len(vals) for _, vals, _ in parts)),
-                   dtype=np.result_type(*(vecs for _, _, vecs in parts)))
-    col = 0
-    for states, vals, vecs in parts:
-        out[states, col:col + len(vals)] = vecs
-        col += len(vals)
-    return out
+        values.append(vals)
+    return values * (1 if mirror is None else 2), kind, solved[0].shape[0]
 
 
 def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
-                method: str | None = None, return_vectors: bool = False):
+                method: str | None = None) -> SpectrumResult:
     """Lowest `count` eigenvalues of a Hermitian chain operator held as its
-    parity blocks (H or H2), with degeneracy multiplicities clustered at
-    1e-8.
+    parity blocks (H or H2), merged and sorted, with degeneracy
+    multiplicities clustered at 1e-8.  Levels only: eigenvectors come from
+    `ground_space`.
 
-    Where a parity-flipping symmetry mirrors one block onto the other (t(0)
-    on the twisted chain, the global spin flip on the periodic chain at odd
-    N; `_symmetries`, a bit map on basis state indices) only the even
-    block is solved, for its lowest ceil(count / 2) levels, and each level
-    is listed twice, its odd vector the even one carried through the
-    mirror; otherwise each block gives its lowest min(count, block dim)
-    levels.  When that is one level per solved block (count = 1, or
-    count = 2 on a mirrored operator), with `return_vectors` off and no
-    `method` forced, and the operator declares the translation sector of
-    its ground level (H on the twisted chain and on the periodic chain at
-    even N), that sector is solved instead: about 2^(N-1)/N states (2048
-    at N = 16).  Every solved block goes to dense eigh up to
-    DENSE_SECTOR_MAX states; above it to Lanczos for one level without
-    vectors, and to ARPACK otherwise (`method` forces "dense" or
-    "iterative" on the parity blocks; a forced "iterative" still runs
-    eigh, and reports "dense", on blocks of at most max(2k + 1, 20)
-    states for k levels, where ARPACK's Krylov space would be the whole
-    block).  Both iterative solvers report "iterative", and `block_dim`
-    is the dimension of the largest block solved.  The levels are merged
-    and sorted.  The Lanczos and ARPACK start vector is derived from
-    `seed` so repeated runs are identical.
-    With `return_vectors`, the eigenvectors come as full-space columns,
-    each of definite parity.
+    `_sector_eigs` picks the blocks: H's ground translation sector, about
+    2^(N-1)/N states (2048 at N = 16), for one level per solved block
+    (count 1, or 2 on a mirrored operator) with no `method` forced, and
+    the parity blocks otherwise, the even one alone where a mirror
+    exists.  `_block_eigs` picks the solver: dense eigh up to
+    DENSE_SECTOR_MAX states, Lanczos for one level above it and ARPACK
+    for several, all reported "dense" or "iterative".  `method` forces
+    "dense" or "iterative" on the parity blocks; a forced "iterative"
+    still runs eigh on blocks of at most max(2k + 1, 20) states for k
+    levels, where ARPACK's Krylov space would be the whole block.
+    `block_dim` is the dimension of the largest block solved.  The
+    iterative start vector is drawn from `seed`, so repeated runs are
+    identical.
     """
     if not isinstance(op._op, _ParityBlocks):
         raise ValueError("ed_spectrum needs a Hermitian operator")
     if count < 1 or count > op.dim:
         raise ValueError("count out of range")
-    parts, kind, block_dim = _sector_eigs(op, count, seed=seed, method=method,
-                                          vectors=return_vectors)
-    vals = np.concatenate([vals for _, vals, _ in parts])
-    order = np.argsort(vals, kind="stable")[:count]
-    res = SpectrumResult(vals[order], _cluster(vals[order]), kind, block_dim)
-    return (res, _full_vectors(op.dim, parts)[:, order]) if return_vectors else res
+    values, kind, block_dim = _sector_eigs(op, count, seed=seed, method=method)
+    vals = np.sort(np.concatenate(values))[:count]
+    return SpectrumResult(vals, _cluster(vals), kind, block_dim)
 
 
 @dataclass
@@ -675,16 +652,24 @@ def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
 
     The twisted-chain ground level is exactly doubly degenerate: t(0)
     commutes with H and flips P, so it maps the even block's lowest state
-    v to the odd block's, t(0) v, and the basis is [v, t(0) v].  The pair
-    is split by diagonalizing the 2x2 block of t(0), whose eigenvalues are
-    +-i (even N) or +-1 (odd N).
+    v to the odd block's, t(0) v, and the basis is [v, t(0) v].  v is the
+    lowest state of H's ground sector (`_symmetries`), solved for one
+    level with its vector by `_block_eigs` (dense eigh up to
+    DENSE_SECTOR_MAX states, ARPACK above) and spread onto the even
+    block's states; no parity block is built.  The pair is split by
+    diagonalizing the 2x2 block of t(0), whose eigenvalues are +-i (even
+    N) or +-1 (odd N).
     """
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("ground_space resolves the twisted-chain doublet")
-    spec, V = ed_spectrum(build_hamiltonian(params), 2, seed=seed, return_vectors=True)
+    blocks = build_hamiltonian(params)._op
+    sector, spread = blocks.ground_sector()
+    vals, vecs, _ = _block_eigs(params.N, sector, 1, seed=seed, method=None, vectors=True)
+    even = blocks.states[0]
+    V = np.zeros((params.dim, 2), dtype=vecs.dtype)
+    V[even, 0] = V[blocks.mirror(even), 1] = spread(vecs[:, 0])
     w, s = np.linalg.eig(doublet_block(build_momentum_charge(params), V))
-    return GroundSpace(energy=float(spec.eigenvalues[0]), vectors=V,
-                       t0_eigenvalues=w, t0_vectors=V @ s)
+    return GroundSpace(energy=float(vals[0]), vectors=V, t0_eigenvalues=w, t0_vectors=V @ s)
 
 
 def doublet_block(op: ChainOperator, vectors: np.ndarray) -> np.ndarray:

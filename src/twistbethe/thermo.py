@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .common import Boundary, Parity
+from .common import Boundary, Parity, has_hole
 
 # Ground-energy density per cosh(eta) of the isotropic chain, the eta -> 0
 # limit of e0(eta)/cosh(eta).  Served as a constant: below the eta guard the
@@ -151,11 +151,6 @@ def excitation_gap_tl(eta: float, parity) -> float:
     return 2.0 * hole_energy(math.pi / eta, eta)
 
 
-def _has_hole(N: int, boundary: Boundary) -> bool:
-    # twisted even N and periodic odd N carry one hole in the ground state
-    return (boundary is Boundary.ANTIPERIODIC) == (Parity.of(N) is Parity.EVEN)
-
-
 def ground_energy_tl(N: int, eta: float, boundary) -> float:
     """N -> infinity band-edge table: e0*N, plus e_h(pi/eta) for the
     (boundary, parity) combinations whose ground state carries one hole
@@ -169,7 +164,7 @@ def ground_energy_tl(N: int, eta: float, boundary) -> float:
     what makes (anti - per) = +-E_b hold identically."""
     boundary = Boundary.coerce(boundary)
     e = e0_density(eta) * N
-    if _has_hole(N, boundary):
+    if has_hole(N, boundary):
         e += hole_energy(math.pi / eta, eta)
     return e
 
@@ -251,7 +246,7 @@ def hole_quantization_energy(N: int, eta: float, boundary) -> float:
             f"N={N}, eta={eta} outside the range of the hole-quantization "
             f"term (c(eta) N = {rate * N:.3g}, need eta <= 20 and "
             f"c N >= ln sinh(eta) + {_RANGE_EFOLDS:g})")
-    if not _has_hole(N, boundary):
+    if not has_hole(N, boundary):
         return 0.0
     drift = eta / (4.0 * math.pi) if boundary is Boundary.ANTIPERIODIC else 0.0
 
@@ -274,10 +269,10 @@ def density_fourier(k: int, N: int, eta: float, boundary,
     """
     _check_eta(eta)
     boundary = Boundary.coerce(boundary)
-    has_hole = _has_hole(N, boundary)
-    if has_hole and x0 is None:
+    hole = has_hole(N, boundary)
+    if hole and x0 is None:
         raise ValueError("this (boundary, parity) ground state has a hole; supply x0")
-    if not has_hole and x0 is not None:
+    if not hole and x0 is not None:
         raise ValueError("no hole in this (boundary, parity) ground state; drop x0")
 
     ak = abs(k) * eta
@@ -285,7 +280,7 @@ def density_fourier(k: int, N: int, eta: float, boundary,
     val = complex(0.5 * _sech(ak))  # 1/(2 cosh(eta k))
     if boundary is Boundary.ANTIPERIODIC and k == 0:
         val += 1.0 / (N * (1.0 + e2))
-    if has_hole:
+    if hole:
         # the hole is a delta in x, so its mode (1/N) e^{-ik eta x0} does not
         # decay in k; only the 1/(1+e^{-2 eta |k|}) dressing applies
         phase = complex(math.cos(k * eta * x0), -math.sin(k * eta * x0))

@@ -61,11 +61,25 @@ def test_theta_monotone():
         assert np.all(np.diff(theta_m(m, xs, ETA)) > 0)
 
 
+def _literal_ground_twice_I(N, boundary):
+    # the four cases written out: the hole-carrying ones (twisted even,
+    # periodic odd) leave the -M edge slot empty
+    if boundary == "anti":
+        M = (N + 1) // 2
+        return range(-M + 2, M + 1, 2) if N % 2 == 0 else range(-M + 1, M, 2)
+    M = N // 2
+    return range(-M + 1, M, 2) if N % 2 == 0 else range(-M + 2, M + 1, 2)
+
+
 def test_ground_quantum_numbers_four_cases():
     assert ground_quantum_numbers(8, "anti").twice_I == (-2, 0, 2, 4)
     assert ground_quantum_numbers(7, "anti").twice_I == (-3, -1, 1, 3)
     assert ground_quantum_numbers(8, "per").twice_I == (-3, -1, 1, 3)
     assert ground_quantum_numbers(9, "per").twice_I == (-2, 0, 2, 4)
+    for N in range(2, 42):
+        for boundary in ("anti", "per"):
+            want = tuple(_literal_ground_twice_I(N, boundary))
+            assert ground_quantum_numbers(N, boundary).twice_I == want, (N, boundary)
 
 
 def test_quantum_number_parity_rules():

@@ -157,15 +157,12 @@ def test_sector_ed_matches_kron_oracle(N, boundary, count, method):
     # DENSE_SECTOR_MAX states per parity block (N = 9 | 10)
     count = min(count, 1 << N)
     H = build_hamiltonian(ModelParams(N, ETA, boundary))
-    spec, vecs = ed_spectrum(H, count, method=method, return_vectors=True)
+    spec = ed_spectrum(H, count, method=method)
     oracle = _oracle_levels(N, boundary == "anti")[:count]
     assert np.max(np.abs(spec.eigenvalues - oracle)) < 1e-10
     assert spec.degeneracies == model._cluster(oracle)
     if method is None:
-        half = 1 << (N - 1)
-        assert spec.method == ("dense" if half <= DENSE_SECTOR_MAX else "iterative")
-    for lam, v in zip(spec.eigenvalues, vecs.T):
-        assert np.linalg.norm(H.matvec(v) - lam * v) < 1e-9
+        assert spec.method == ("dense" if spec.block_dim <= DENSE_SECTOR_MAX else "iterative")
 
 
 def _mirrored_even_block(blocks):
@@ -197,17 +194,11 @@ def test_parity_mirror_maps_even_block_onto_odd(N):
 
 @pytest.mark.parametrize("N", range(2, 15))
 def test_mirror_carries_the_even_member_onto_the_odd(N):
-    # the odd member of a mirrored pair is the even one carried through the
-    # mirror in its direction, bit for bit: t(0) v on the twisted chain, and
-    # the spin-flipped v (index s to 2^N - 1 - s) on the periodic chain at
-    # odd N
+    # the odd member of the twisted ground doublet is the even one carried
+    # through the mirror in its direction, bit for bit: t(0) v
     params = ModelParams(N, ETA, "anti")
     vectors = ground_space(params).vectors
     assert np.array_equal(vectors[:, 1], build_momentum_charge(params).matvec(vectors[:, 0]))
-    if N % 2:
-        _, vectors = ed_spectrum(build_hamiltonian(ModelParams(N, ETA, "per")), 2,
-                                 return_vectors=True)
-        assert np.array_equal(vectors[:, 1], vectors[::-1, 0])
 
 
 @pytest.mark.parametrize("N, boundary", [(16, "anti"), (16, "per"), (15, "per")])
@@ -320,17 +311,27 @@ def test_h2_charge_contract():
     assert np.linalg.norm(H.matvec(H2.matvec(v)) - H2.matvec(H.matvec(v))) < 1e-10
 
 
+def _assert_ground_doublet(params, gs):
+    # both members are eigenvectors of H at gs.energy, one in each parity
+    # sector
+    H = build_hamiltonian(params)
+    for v in gs.vectors.T:
+        assert np.linalg.norm(H.matvec(v) - gs.energy * v) < 1e-9
+    signs = _parity_signs(params.N)
+    parities = sorted(np.vdot(v, signs * v).real for v in gs.vectors.T)
+    assert parities == pytest.approx([-1.0, 1.0], abs=1e-12)
+
+
 def test_ground_space_doublet():
+    # dense eigh on the ground sector, against the Kronecker oracle
     for N in range(2, DENSE_MAX + 1):
         params = ModelParams(N, ETA, "anti")
         gs = ground_space(params)
+        assert abs(gs.energy - _oracle_levels(N, True)[0]) < 1e-10
         assert gs.vectors.shape == (params.dim, 2)
         overlap = gs.vectors.conj().T @ gs.vectors
         assert np.max(np.abs(overlap - np.eye(2))) < 1e-10
-        # one member in each parity sector
-        signs = _parity_signs(N)
-        parities = sorted(np.vdot(v, signs * v).real for v in gs.vectors.T)
-        assert parities == pytest.approx([-1.0, 1.0], abs=1e-12)
+        _assert_ground_doublet(params, gs)
         eigs = sorted(gs.t0_eigenvalues, key=lambda z: z.imag)
         if N % 2 == 0:
             assert eigs[0] == pytest.approx(-1j, abs=1e-9)
@@ -338,6 +339,32 @@ def test_ground_space_doublet():
         else:
             assert sorted(abs(e.imag) for e in eigs)[0] < 1e-9
             assert {round(abs(e.real)) for e in eigs} == {1}
+
+
+@pytest.mark.parametrize("N", range(13, 17))
+def test_ground_space_from_sector_by_arpack(N, monkeypatch):
+    # above DENSE_SECTOR_MAX sector states ARPACK gives the ground vector
+    calls, eigsh = [], spla.eigsh
+
+    def counted_eigsh(A, **kwargs):
+        calls.append(A.shape[0])
+        return eigsh(A, **kwargs)
+
+    monkeypatch.setattr(model.spla, "eigsh", counted_eigsh)
+    params = ModelParams(N, ETA, "anti")
+    gs = ground_space(params)
+    assert calls == [_sector_dim(N, "anti")]
+    _assert_ground_doublet(params, gs)
+
+
+def test_ground_space_builds_no_parity_block(monkeypatch):
+    def no_block(self, p):
+        raise AssertionError(f"parity block {p} built")
+
+    monkeypatch.setattr(model._ParityBlocks, "block", no_block)
+    for N in (3, 8, 11, 14):
+        gs = ground_space(ModelParams(N, ETA, "anti"))
+        assert gs.vectors.shape == (1 << N, 2)
 
 
 def test_params_validation():
@@ -439,8 +466,8 @@ def test_ground_sector_matches_parity_ed(N, boundary):
 
 
 def test_parity_route_where_no_sector_applies():
-    # H2 and the periodic chain at odd N declare no sector; vectors, more
-    # levels or a forced method keep H on its parity blocks
+    # H2 and the periodic chain at odd N declare no sector; more levels or
+    # a forced method keep H on its parity blocks
     half = 1 << 10
     for op in (build_h2_charge(ModelParams(11, ETA, "anti")),
                build_hamiltonian(ModelParams(11, ETA, "per"))):
@@ -449,7 +476,6 @@ def test_parity_route_where_no_sector_applies():
     H = build_hamiltonian(ModelParams(11, ETA, "anti"))
     assert ed_spectrum(H, 3).block_dim == half
     assert ed_spectrum(H, 1, method="iterative").block_dim == half
-    assert ed_spectrum(H, 1, return_vectors=True)[0].block_dim == half
     assert ed_spectrum(H, 1).block_dim == _sector_dim(11, "anti")
 
 
@@ -474,11 +500,19 @@ def test_ground_sector_spectrum_matches_projection(N, boundary):
     assert basis.shape[1] == _sector_dim(N, boundary)
     for eta in (0.7, ETA):
         H = kron_oracle.hamiltonian(N, eta, twisted)
-        sector = build_hamiltonian(ModelParams(N, eta, boundary))._op.ground_sector()
+        blocks = build_hamiltonian(ModelParams(N, eta, boundary))._op
+        sector, spread = blocks.ground_sector()
         assert sector.format == "csr" and sector.indices.dtype == np.int32
-        got = np.linalg.eigvalsh(sector.toarray())
+        got, vecs = np.linalg.eigh(sector.toarray())
         want = np.linalg.eigvalsh(basis.T @ H @ basis)
         assert np.max(np.abs(got - want)) < 1e-12
+        # spread sector vectors are orthonormal eigenvectors of H in the
+        # projector's range, on the states of block p
+        full = np.zeros((1 << N, len(got)))
+        full[blocks.states[p]] = np.column_stack([spread(x) for x in vecs.T])
+        assert np.max(np.abs(full.T @ full - np.eye(len(got)))) < 1e-12
+        assert np.max(np.abs(projector @ full - full)) < 1e-12
+        assert np.max(np.abs(H @ full - full * got)) < 1e-11
 
 
 def _single_level_operators(N, eta):
@@ -541,8 +575,6 @@ def test_arpack_kept_for_several_levels_or_vectors(monkeypatch):
         assert ed_spectrum(H, 1, method="iterative").method == "iterative"
         with pytest.raises(_ArpackCalled):
             ed_spectrum(H, 3)
-        with pytest.raises(_ArpackCalled):
-            ed_spectrum(H, 1, return_vectors=True)
 
 
 def test_lanczos_step_cap_raises_with_payload(monkeypatch):
@@ -563,10 +595,9 @@ def test_lanczos_step_cap_raises_with_payload(monkeypatch):
 def test_forced_iterative_on_tiny_blocks_is_reproducible(op, count):
     # ARPACK's Krylov space would be the whole 8-state block, and it
     # restarts from its own persistent generator: such blocks go to eigh,
-    # so the zero levels and their vectors repeat bit for bit
-    first, vecs = ed_spectrum(op, count, method="iterative", return_vectors=True)
+    # so the zero levels repeat bit for bit
+    first = ed_spectrum(op, count, method="iterative")
     assert first.method == "dense"
     for _ in range(10):
-        spec, again = ed_spectrum(op, count, method="iterative", return_vectors=True)
+        spec = ed_spectrum(op, count, method="iterative")
         assert np.array_equal(spec.eigenvalues, first.eigenvalues)
-        assert np.array_equal(again, vecs)
