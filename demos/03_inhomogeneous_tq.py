@@ -9,8 +9,6 @@ the Q polynomial to the ED transfer-matrix eigenvalue, polishes the
 roots on the exact equations, and reconstructs everything back.
 """
 
-import numpy as np
-
 from twistbethe.baes import (
     bae_relative_residual,
     energy_inhom,
@@ -23,7 +21,7 @@ from twistbethe.model import (
     build_hamiltonian,
     ed_spectrum,
     ground_space,
-    transfer_matrix,
+    transfer_expectations,
 )
 
 eta = 2.0
@@ -51,8 +49,8 @@ print(f"E_ED     = {E_ed:+.14f}   (diff {abs(E - E_ed):.1e})")
 
 gs = ground_space(params)
 v = gs.branch_vector(1j)
-for u in (0.3 + 0.2j, -0.6 - 0.1j):
-    lam_ed = np.vdot(v, transfer_matrix(u, params).matvec(v))
+us = (0.3 + 0.2j, -0.6 - 0.1j)
+for u, lam_ed in zip(us, transfer_expectations(us, params, v)):
     lam_tq = tq_eigenvalue(u, roots)
     print(f"Lambda({u}): ED {lam_ed:.10f}  reconstruction "
           f"{lam_tq:.10f}")

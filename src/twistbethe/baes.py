@@ -552,10 +552,16 @@ def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     chain's ground state.
 
     (1) diagonalize H, resolve the ground doublet by the t(0) branch, and
-    sample Lambda(u) on the unit circle in z = e^{2u}; (2) fit the
-    Q-polynomial through the linearized functional relation; (3) take
-    lambda_j from q's roots, imaginary parts folded to (-pi/2, pi/2];
-    (4) polish with damped Newton on the equations themselves."""
+    sample Lambda(u) = <v|t(u)|v> at 2N+5 points on the unit circle in
+    z = e^{2u}, all in one batched contraction
+    (`model.transfer_expectations`); (2) fit the Q-polynomial through the
+    linearized functional relation; (3) take lambda_j from q's roots,
+    imaginary parts folded to (-pi/2, pi/2]; (4) polish with damped
+    Newton on the equations themselves; (5) fold the polished roots into
+    the strip of `_fold_root_strip`, so that roots on the line
+    Im = +-pi/2 all read +pi/2 and the root sum is reproducible.
+    `residual` is that of the polished roots before (5), which moves
+    roots by multiples of i pi only."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("the inhomogeneous equations describe the twisted chain")
     N, eta = params.N, params.eta
@@ -570,10 +576,8 @@ def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     phis = 2.0 * math.pi * (np.arange(K) + 0.37) / K
     us = 0.5j * phis
     zs = np.exp(2.0 * us)
-    P_vals = np.empty(K, dtype=complex)
-    for k, u in enumerate(us):
-        t_op = _model.transfer_matrix(u, params)
-        P_vals[k] = cmath.exp((N - 1) * u) * np.vdot(v, t_op.matvec(v))
+    lams = _model.transfer_expectations(us, params, v)
+    P_vals = np.array([cmath.exp((N - 1) * u) * lam for u, lam in zip(us, lams)])
 
     c, fit_res = _fit_q_linear(P_vals, zs, N, eta)
     if fit_res > 1e-6:
@@ -587,7 +591,7 @@ def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     lam = lam.real + 1j * (im - math.pi * np.ceil((im - math.pi / 2) / math.pi - 1e-15))
 
     lam, res = _polish_inhom(lam, N, eta)
-    return InhomBetheRoots(lam=lam, residual=res, N=N, eta=eta)
+    return InhomBetheRoots(lam=_fold_root_strip(lam), residual=res, N=N, eta=eta)
 
 
 def _polish_inhom(lam: np.ndarray, N: int, eta: float):
@@ -657,6 +661,22 @@ def _fold_imag(value: complex) -> complex:
     im = value.imag
     im = im - 2.0 * math.pi * math.ceil((im - math.pi) / (2.0 * math.pi) - 1e-15)
     return complex(value.real, im)
+
+
+# distance of the edge of _fold_root_strip's strip above Im = -pi/2, well
+# clear of the rounding of roots that sit on the line
+ROOT_STRIP_MARGIN = 1e-9
+
+
+def _fold_root_strip(lam: np.ndarray) -> np.ndarray:
+    """Fold Im of inhomogeneous roots modulo pi into the half-open strip
+    (-pi/2 + ROOT_STRIP_MARGIN, pi/2 + ROOT_STRIP_MARGIN].  Ground roots
+    sit on Im = +-pi/2, the same line modulo pi; every root within
+    rounding of it lands at +pi/2, so the root sum does not depend on
+    which side rounding put it."""
+    im = lam.imag
+    return lam.real + 1j * (im - math.pi * np.ceil((im - math.pi / 2 - ROOT_STRIP_MARGIN)
+                                                   / math.pi))
 
 
 def _is_symmetric(x: np.ndarray) -> bool:

@@ -13,7 +13,10 @@ charge H2 and t(0) are CSR matrices: H and H2 are sums of Pauli strings
 whose bit rules (X and Y flip a bit, Y and Z contribute a sign or phase)
 give each matrix element directly, and t(0) is the permutation of a bit
 map.  The transfer matrix t(u) is applied matrix-free by contracting the
-six-vertex R-matrix one site at a time, O(N 2^N) per application.
+six-vertex R-matrix one site at a time, O(N 2^N) per point u; K points
+run through the sites in one pass (`_TransferContraction`), which is how
+`transfer_expectations` gives <v|t(u_k)|v> at all of them, and a single
+t(u) is its K = 1 case.
 Hamiltonians are real symmetric; H2 and t(u) are complex.
 
 Every basis symmetry is a bit map on state indices, applied to the
@@ -414,40 +417,51 @@ def build_h2_charge(params: ModelParams) -> ChainOperator:
 
 
 class _TransferContraction:
-    """t(u) applied to the leading axis of an array by running the
-    auxiliary space through R_{01}, ..., R_{0N} once per auxiliary state.
+    """t(u_1), ..., t(u_K) applied at once to the leading axis of an array
+    by running the auxiliary space through R_{01}, ..., R_{0N} once per
+    auxiliary state, on a state of shape (2, K) + v.shape.
 
     R(u) on (auxiliary, site) keeps the states |00> and |11> with weight
     a = sinh(u+eta)/sinh(eta), keeps |01> and |10> with weight
     b = sinh(u)/sinh(eta) and swaps them with weight 1, so R(0) is the
-    permutation.  Every site of the uniform chain has the same (a, b)."""
+    permutation.  Every site of the uniform chain has the same (a, b),
+    held as (K,) arrays, each entry computed with `cmath` as for one
+    point.  `apply` returns the K images, shape (K,) + v.shape; `@` is
+    the one-point case."""
 
     dtype = np.dtype(np.complex128)
 
-    def __init__(self, u: complex, params: ModelParams):
+    def __init__(self, us, params: ModelParams):
         self.shape = (params.dim, params.dim)
         self.n_sites = params.N
         sh = cmath.sinh(params.eta)
-        self.a, self.b = cmath.sinh(u + params.eta) / sh, cmath.sinh(u) / sh
+        self.a = np.array([cmath.sinh(u + params.eta) / sh for u in us])
+        self.b = np.array([cmath.sinh(u) / sh for u in us])
         self.twisted = params.boundary is Boundary.ANTIPERIODIC
 
-    def __matmul__(self, v):
-        a, b = self.a, self.b
-        out = np.zeros(v.shape, dtype=self.dtype)
+    def apply(self, v):
+        K = len(self.a)
+        # a point's weights broadcast over its (left, rest) block
+        a, b = self.a[:, None, None], self.b[:, None, None]
+        out = np.zeros((K,) + v.shape, dtype=self.dtype)
         for aux in (0, 1):
-            psi = np.zeros((2,) + v.shape, dtype=self.dtype)
+            psi = np.zeros((2, K) + v.shape, dtype=self.dtype)
             psi[aux] = v
             for j in range(1, self.n_sites + 1):
-                q = psi.reshape(2, 1 << (j - 1), 2, -1)   # (aux, left, site, rest)
-                q[0, :, 0] *= a
-                q[1, :, 1] *= a
-                up_down = q[0, :, 1].copy()
-                q[0, :, 1] *= b
-                q[0, :, 1] += q[1, :, 0]
-                q[1, :, 0] *= b
-                q[1, :, 0] += up_down
+                q = psi.reshape(2, K, 1 << (j - 1), 2, -1)   # (aux, point, left, site, rest)
+                q[0, :, :, 0] *= a
+                q[1, :, :, 1] *= a
+                up_down = q[0, :, :, 1].copy()
+                q[0, :, :, 1] *= b
+                q[0, :, :, 1] += q[1, :, :, 0]
+                q[1, :, :, 0] *= b
+                q[1, :, :, 0] += up_down
             # tr_0[sx_0 T] picks the flipped auxiliary state; tr_0[T] the same one
             out += psi[1 - aux] if self.twisted else psi[aux]
+        return out
+
+    def __matmul__(self, v):
+        out, = self.apply(v)
         return out
 
 
@@ -456,7 +470,19 @@ def transfer_matrix(u: complex, params: ModelParams) -> ChainOperator:
     (trace without the twist for the periodic chain), applied matrix-free
     in O(N 2^N) at any N; no 2^N x 2^N matrix is formed unless `.dense` is
     asked for."""
-    return ChainOperator(params.N, _TransferContraction(u, params))
+    return ChainOperator(params.N, _TransferContraction((u,), params))
+
+
+def transfer_expectations(us, params: ModelParams, v: np.ndarray) -> np.ndarray:
+    """<v|t(u_k)|v> for every point of the 1-D array `us`, from one
+    contraction of all K points (`_TransferContraction`): O(N 2^N) per
+    point on a state of 2 K 2^N entries, with each point's result equal
+    bit for bit to `np.vdot(v, transfer_matrix(u_k, params).matvec(v))`."""
+    v = np.asarray(v)
+    if v.shape != (params.dim,):
+        raise ValueError(f"vector length must be {params.dim}")
+    images = _TransferContraction(us, params).apply(v)
+    return np.array([np.vdot(v, w) for w in images])
 
 
 @dataclass

@@ -257,8 +257,7 @@ def check_inhom_vs_ed(sizes) -> Measured:
         v = model.ground_space(params).branch_vector(1j if N % 2 == 0 else 1.0)
         us = (rng.uniform(-0.7, 0.7, INHOM_POINTS)
               + 1j * rng.uniform(-0.5, 0.5, INHOM_POINTS))
-        for u in us:
-            lam_ed = np.vdot(v, model.transfer_matrix(complex(u), params).matvec(v))
+        for u, lam_ed in zip(us, model.transfer_expectations(us, params, v)):
             lam_tq = baes.tq_eigenvalue(complex(u), roots)
             m.add("eigenvalue", abs(lam_ed - lam_tq) / max(abs(lam_ed), 1e-30), f"N={N}")
     return m

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from twistbethe import baes
+from twistbethe import baes, model
 from twistbethe.baes import (
     bae_relative_residual,
     charge_from_roots,
@@ -47,6 +47,45 @@ def test_eigenvalue_reconstruction():
             lam_ed = np.vdot(v, t_u.matvec(v))
             lam_tq = tq_eigenvalue(complex(u), roots)
             assert abs(lam_ed - lam_tq) <= 1e-10 * max(abs(lam_ed), 1.0)
+
+
+def test_solve_samples_lambda_in_one_batched_contraction(monkeypatch):
+    # all 2N+5 points go through one transfer_expectations call; a
+    # per-point transfer_matrix loop would raise here
+    calls = []
+    batched = model.transfer_expectations
+
+    def counting(us, *args):
+        calls.append(len(us))
+        return batched(us, *args)
+
+    def refused(*args):
+        raise AssertionError("solve_inhom_baes built a one-point transfer matrix")
+
+    monkeypatch.setattr(model, "transfer_expectations", counting)
+    monkeypatch.setattr(model, "transfer_matrix", refused)
+    _solve(6)
+    assert calls == [2 * 6 + 5]
+
+
+def _in_root_strip(lam):
+    lo = -math.pi / 2 + baes.ROOT_STRIP_MARGIN
+    return np.all((lam.imag > lo) & (lam.imag <= lo + math.pi))
+
+
+def test_root_fold_puts_the_line_at_plus_half_pi():
+    # roots within rounding of Im = +-pi/2, on either side, all land at
+    # +pi/2, so the root sum does not depend on which side rounding chose
+    for im in (-math.pi / 2 - 1e-13, -math.pi / 2, -math.pi / 2 + 1e-13,
+               math.pi / 2 - 1e-13, math.pi / 2, math.pi / 2 + 1e-13):
+        lam = baes._fold_root_strip(np.array([0.3 + 1j * im]))
+        assert lam[0].real == 0.3
+        assert abs(lam[0].imag - math.pi / 2) <= 1e-12
+        assert _in_root_strip(lam)
+    inside = np.array([0.1 - 1.2j, -0.4 + 0.0j, 0.2 + 1.5j])
+    assert np.array_equal(baes._fold_root_strip(inside), inside)
+    shifted = baes._fold_root_strip(inside + 1j * math.pi)
+    assert np.max(np.abs(shifted - inside)) < 1e-15
 
 
 def test_root_count_and_residual_definition():
@@ -140,3 +179,4 @@ def test_inhom_energy_matches_sector_ed_over_promised_range(eta, N):
     ed = ed_spectrum(build_hamiltonian(params), 1).eigenvalues[0]
     assert abs(energy_inhom(roots, params) - ed) <= 1e-12 * abs(ed)
     assert roots.residual < 1e-9
+    assert _in_root_strip(roots.lam)

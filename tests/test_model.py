@@ -103,6 +103,39 @@ def test_transfer_matrix_matches_kron_oracle():
                 assert np.max(np.abs(t.matvec(v) - oracle @ v)) < 1e-12
 
 
+def test_batched_transfer_contraction_matches_one_point_calls():
+    # K points in one contraction give, bit for bit, the K one-point
+    # transfer_matrix images and <v|t(u)|v>; the last point's image matches
+    # the Kronecker oracle (one oracle build per batch keeps the test short)
+    rng = np.random.default_rng(18)
+    for N in range(2, 9):
+        for boundary in ("anti", "per"):
+            params = ModelParams(N, 1.1, boundary)
+            v = rng.standard_normal(params.dim) + 1j * rng.standard_normal(params.dim)
+            for K in (1, 5, 21):
+                us = rng.uniform(-0.8, 0.8, K) + 1j * rng.uniform(-1.2, 1.2, K)
+                images = model._TransferContraction(us, params).apply(v)
+                lams = model.transfer_expectations(us, params, v)
+                assert images.shape == (K, params.dim) and lams.shape == (K,)
+                for u, image, lam in zip(us, images, lams):
+                    one = transfer_matrix(u, params).matvec(v)
+                    assert np.array_equal(image, one)
+                    assert lam == np.vdot(v, one)
+                oracle = kron_oracle.transfer_matrix(us[-1], 1.1, (0.0,) * N, boundary == "anti")
+                assert np.max(np.abs(images[-1] - oracle @ v)) < 1e-12
+
+
+def test_transfer_dense_is_the_one_point_contraction():
+    # .dense at N = 6 is column by column the one-point matvec, bit for bit
+    for boundary in ("anti", "per"):
+        params = ModelParams(6, 1.1, boundary)
+        t = transfer_matrix(0.3 - 0.4j, params)
+        columns = [t.matvec(e) for e in np.eye(params.dim, dtype=complex)]
+        assert np.array_equal(t.dense, np.column_stack(columns))
+    with pytest.raises(ValueError):
+        model.transfer_expectations([0.1j], params, np.ones(params.dim + 1))
+
+
 def test_operators_are_int32_csr():
     # t(0) is one CSR matrix; H and H2 are two parity blocks, each CSR (the
     # odd block of these mirrored operators is built here, on demand)

@@ -373,6 +373,8 @@ PERTURBATIONS = [
      _offset(1e-7)),
     (check_inhom_vs_ed, ((4,),), "tq_eigenvalue * (1 + 1e-7)", baes, "tq_eigenvalue",
      _scale(1 + 1e-7)),
+    (check_inhom_vs_ed, ((4,),), "transfer_expectations * (1 + 1e-7)", model,
+     "transfer_expectations", _scale(1 + 1e-7)),
     (check_einh_signs, ((8, 10, 12), (7, 9)), "inhom_contribution * -1", baes,
      "inhom_contribution", _scale(-1.0)),
     (check_einh_signs, ((8, 10, 12), (7, 9)), "inhom_contribution * N^-2", baes,
