@@ -47,8 +47,7 @@ E_ed = ed_spectrum(build_hamiltonian(params), 1).eigenvalues[0]
 print(f"\nE(roots) = {E:+.14f}")
 print(f"E_ED     = {E_ed:+.14f}   (diff {abs(E - E_ed):.1e})")
 
-gs = ground_space(params)
-v = gs.branch_vector(1j)
+v = ground_space(params).branch
 us = (0.3 + 0.2j, -0.6 - 0.1j)
 for u, lam_ed in zip(us, transfer_expectations(us, params, v)):
     lam_tq = tq_eigenvalue(u, roots)

@@ -551,7 +551,7 @@ def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     """ED-seeded solution of the inhomogeneous equations for the twisted
     chain's ground state.
 
-    (1) diagonalize H, resolve the ground doublet by the t(0) branch, and
+    (1) take the ground doublet's t(0) branch (`GroundSpace.branch`) and
     sample Lambda(u) = <v|t(u)|v> at 2N+5 points on the unit circle in
     z = e^{2u}, all in one batched contraction
     (`model.transfer_expectations`); (2) fit the Q-polynomial through the
@@ -560,17 +560,14 @@ def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     Newton on the equations themselves; (5) fold the polished roots into
     the strip of `_fold_root_strip`, so that roots on the line
     Im = +-pi/2 all read +pi/2 and the root sum is reproducible.
-    `residual` is that of the polished roots before (5), which moves
-    roots by multiples of i pi only."""
+    `residual` is `bae_relative_residual` of the returned roots."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("the inhomogeneous equations describe the twisted chain")
     N, eta = params.N, params.eta
     if N > 12:
         raise ValueError("the ED seed caps the inhomogeneous solver at N = 12")
 
-    gs = _model.ground_space(params)
-    branch = 1.0j if N % 2 == 0 else 1.0
-    v = gs.branch_vector(branch).astype(complex)
+    v = _model.ground_space(params).branch
 
     K = 2 * N + 5
     phis = 2.0 * math.pi * (np.arange(K) + 0.37) / K
@@ -590,8 +587,8 @@ def solve_inhom_baes(params: ModelParams) -> InhomBetheRoots:
     im = lam.imag
     lam = lam.real + 1j * (im - math.pi * np.ceil((im - math.pi / 2) / math.pi - 1e-15))
 
-    lam, res = _polish_inhom(lam, N, eta)
-    return InhomBetheRoots(lam=_fold_root_strip(lam), residual=res, N=N, eta=eta)
+    lam = _fold_root_strip(_polish_inhom(lam, N, eta))
+    return InhomBetheRoots(lam, bae_relative_residual(lam, N, eta), N, eta)
 
 
 def _polish_inhom(lam: np.ndarray, N: int, eta: float):
@@ -628,7 +625,7 @@ def _polish_inhom(lam: np.ndarray, N: int, eta: float):
     if best > 1e-10:
         raise ConvergenceError(f"polish stalled at relative residual {best:.2e}",
                                iterate=lam, residual=best)
-    return lam, best
+    return lam
 
 
 def tq_eigenvalue(u: complex, roots: InhomBetheRoots) -> complex:
@@ -777,7 +774,6 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
     h2_hom = charge_from_roots("ChargeH2", roots)
     params = ModelParams(N, eta, boundary)
     gs = _model.ground_space(params, seed=seed)
-    vplus = gs.branch_vector(1.0j)
     H2 = _model.build_h2_charge(params)
-    h2_ed = np.vdot(vplus, H2.matvec(vplus))
+    h2_ed = np.vdot(gs.branch, H2.matvec(gs.branch))
     return float(h2_hom.real - h2_ed.real)

@@ -8,15 +8,16 @@ bond) is sx.sx + sy.sy + cosh(eta) sz.sz.  The chain is uniform:
 `ModelParams` is (N, eta, boundary), and the transfer matrix has no
 inhomogeneities (the T-Q derivation's theta_j are zero).
 
-Every operator comes from one of two constructions.  H, the three-site
-charge H2 and t(0) are CSR matrices: H and H2 are sums of Pauli strings
-whose bit rules (X and Y flip a bit, Y and Z contribute a sign or phase)
-give each matrix element directly, and t(0) is the permutation of a bit
-map.  The transfer matrix t(u) is applied matrix-free by contracting the
-six-vertex R-matrix one site at a time, O(N 2^N) per point u; K points
-run through the sites in one pass (`_TransferContraction`), which is how
-`transfer_expectations` gives <v|t(u_k)|v> at all of them, and a single
-t(u) is its K = 1 case.
+Every operator comes from one of two constructions.  H and the
+three-site charge H2 are CSR matrices, sums of Pauli strings whose bit
+rules (X and Y flip a bit, Y and Z contribute a sign or phase) give each
+matrix element directly.  The transfer matrix t(u) is applied
+matrix-free by contracting the six-vertex R-matrix one site at a time,
+O(N 2^N) per point u; K points run through the sites in one pass
+(`_TransferContraction`), which is how `transfer_expectations` gives
+<v|t(u_k)|v> at all of them, and a single t(u) is its K = 1 case.
+t(0) is a bit map; its CSR permutation (`build_momentum_charge`) is an
+independent oracle that no program path builds.
 Hamiltonians are real symmetric; H2 and t(u) are complex.
 
 Every basis symmetry is a bit map on state indices, applied to the
@@ -46,7 +47,8 @@ returns levels only; a request for one level per solved block (the
 ground energies of the finite-N scans) solves that sector alone and
 builds no parity block, and so does `ground_space`, the one source of
 eigenvectors, which spreads the sector's lowest vector onto the even
-block.  The periodic chain at odd N, whose ground momenta make a complex
+block and splits the doublet in closed form on the t(0)^2 eigenvalue it
+measures.  The periodic chain at odd N, whose ground momenta make a complex
 sector, stays on its parity blocks.  The iterative solvers carry ED to N =
 ITERATIVE_MAX = 20; H and H2 are refused above it.  A dense 2^N matrix
 is derived on demand only for N <= 12, a size chosen for 5 GB class
@@ -660,21 +662,17 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
 @dataclass
 class GroundSpace:
     """Ground doublet of the twisted chain: energy, an orthonormal basis of
-    the two-dimensional eigenspace, and the t(0) eigendata on it."""
+    the eigenspace, its two t(0) eigenvalues, and `branch`, the first's
+    eigenvector."""
 
     energy: float
-    vectors: np.ndarray          # (dim, 2)
-    t0_eigenvalues: np.ndarray   # the two unimodular eigenvalues
-    t0_vectors: np.ndarray       # (dim, 2), t(0)-diagonal combinations
-
-    def branch_vector(self, target: complex) -> np.ndarray:
-        """Doublet member whose t(0) eigenvalue is nearest `target`."""
-        i = int(np.argmin(np.abs(self.t0_eigenvalues - target)))
-        return self.t0_vectors[:, i]
+    vectors: np.ndarray          # (dim, 2): v, t(0) v
+    t0_eigenvalues: np.ndarray   # [mu, -mu], mu^2 measured on the pair
+    branch: np.ndarray           # (mu v + t(0) v)/sqrt 2
 
 
 def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
-    """Ground doublet with the t(0) branch resolved.
+    """Ground doublet with the t(0) branch resolved in closed form.
 
     The twisted-chain ground level is exactly doubly degenerate: t(0)
     commutes with H and flips P, so it maps the even block's lowest state
@@ -682,20 +680,24 @@ def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
     lowest state of H's ground sector (`_symmetries`), solved for one
     level with its vector by `_block_eigs` (dense eigh up to
     DENSE_SECTOR_MAX states, ARPACK above) and spread onto the even
-    block's states; no parity block is built.  The pair is split by
-    diagonalizing the 2x2 block of t(0), whose eigenvalues are +-i (even
-    N) or +-1 (odd N).
+    block's states; no parity block is built.  On [v, t(0) v], t(0) is
+    [[0, lam^2], [1, 0]], lam^2 = <v|t(0) (t(0) v)> measured through the
+    bit map; its eigenvalues +-mu = +-sqrt(lam^2) (+-i at even N, +-1 at
+    odd N) have the members (+-mu v + t(0) v)/sqrt 2.
     """
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("ground_space resolves the twisted-chain doublet")
     blocks = build_hamiltonian(params)._op
     sector, spread = blocks.ground_sector()
     vals, vecs, _ = _block_eigs(params.N, sector, 1, seed=seed, method=None, vectors=True)
-    even = blocks.states[0]
+    even, odd = blocks.states
     V = np.zeros((params.dim, 2), dtype=vecs.dtype)
     V[even, 0] = V[blocks.mirror(even), 1] = spread(vecs[:, 0])
-    w, s = np.linalg.eig(doublet_block(build_momentum_charge(params), V))
-    return GroundSpace(energy=float(vals[0]), vectors=V, t0_eigenvalues=w, t0_vectors=V @ s)
+    mu = cmath.sqrt(complex(np.vdot(V[blocks.mirror(odd), 0], V[odd, 1])))
+    # 0j - mu, not -mu: at mu = 1 the latter is -1-0j, whose log reads -pi
+    return GroundSpace(energy=float(vals[0]), vectors=V,
+                       t0_eigenvalues=np.array([mu, 0j - mu]),
+                       branch=(mu * V[:, 0] + V[:, 1]) / math.sqrt(2.0))
 
 
 def doublet_block(op: ChainOperator, vectors: np.ndarray) -> np.ndarray:

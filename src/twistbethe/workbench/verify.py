@@ -254,7 +254,7 @@ def check_inhom_vs_ed(sizes) -> Measured:
         params = model.ModelParams(N, _ETA, _ANTI)
         roots = baes.solve_inhom_baes(params)
         m.add("energy", abs(baes.energy_inhom(roots, params) - _ed_ground(params)), f"N={N}")
-        v = model.ground_space(params).branch_vector(1j if N % 2 == 0 else 1.0)
+        v = model.ground_space(params).branch
         us = (rng.uniform(-0.7, 0.7, INHOM_POINTS)
               + 1j * rng.uniform(-0.5, 0.5, INHOM_POINTS))
         for u, lam_ed in zip(us, model.transfer_expectations(us, params, v)):

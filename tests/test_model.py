@@ -355,6 +355,13 @@ def _assert_ground_doublet(params, gs):
     assert parities == pytest.approx([-1.0, 1.0], abs=1e-12)
 
 
+def _assert_branch_is_t0_eigenvector(params, gs):
+    # the closed-form member against the CSR t(0) oracle
+    assert abs(np.linalg.norm(gs.branch) - 1.0) <= 1e-12
+    image = build_momentum_charge(params).matvec(gs.branch)
+    assert np.max(np.abs(image - gs.t0_eigenvalues[0] * gs.branch)) <= 1e-12
+
+
 def test_ground_space_doublet():
     # dense eigh on the ground sector, against the Kronecker oracle
     for N in range(2, DENSE_MAX + 1):
@@ -365,6 +372,7 @@ def test_ground_space_doublet():
         overlap = gs.vectors.conj().T @ gs.vectors
         assert np.max(np.abs(overlap - np.eye(2))) < 1e-10
         _assert_ground_doublet(params, gs)
+        _assert_branch_is_t0_eigenvector(params, gs)
         eigs = sorted(gs.t0_eigenvalues, key=lambda z: z.imag)
         if N % 2 == 0:
             assert eigs[0] == pytest.approx(-1j, abs=1e-9)
@@ -388,13 +396,21 @@ def test_ground_space_from_sector_by_arpack(N, monkeypatch):
     gs = ground_space(params)
     assert calls == [_sector_dim(N, "anti")]
     _assert_ground_doublet(params, gs)
+    _assert_branch_is_t0_eigenvector(params, gs)
 
 
 def test_ground_space_builds_no_parity_block(monkeypatch):
-    def no_block(self, p):
-        raise AssertionError(f"parity block {p} built")
+    # nor the CSR t(0), its 2x2 block or a general eigensolver: the doublet
+    # is split in closed form
+    def refused(what):
+        def call(*args, **kwargs):
+            raise AssertionError(f"{what} called")
+        return call
 
-    monkeypatch.setattr(model._ParityBlocks, "block", no_block)
+    monkeypatch.setattr(model._ParityBlocks, "block", refused("parity block"))
+    monkeypatch.setattr(model, "build_momentum_charge", refused("build_momentum_charge"))
+    monkeypatch.setattr(model, "doublet_block", refused("doublet_block"))
+    monkeypatch.setattr(np.linalg, "eig", refused("np.linalg.eig"))
     for N in (3, 8, 11, 14):
         gs = ground_space(ModelParams(N, ETA, "anti"))
         assert gs.vectors.shape == (1 << N, 2)

@@ -392,6 +392,9 @@ PERTURBATIONS = [
      "inhom_contribution", _offset(1e-7)),
     (check_charges, ((4,), (5,)), "t(0) phases + 1e-8", model, "ground_space",
      _rotate_t0_phases),
+    # even N only: at odd N the negated sector, t(0)^2 = -1, is empty
+    (check_charges, ((4,), ()), "ground sector eigenvalue * -1, momentum label", model,
+     "_symmetries", _negate_sector_eigenvalue),
     (check_thermo_series, ((2.0,),), "density_fourier + 1e-9", thermo, "density_fourier",
      _offset(1e-9)),
     (check_hom_vs_ed, (range(4, 9),), "ground sector eigenvalue * -1, periodic", model,
