@@ -10,7 +10,10 @@ Two layers:
   (2K+1)-square capacitance system in O(M K^2).  K is the fewest modes
   whose tail lies three orders below the equations' float64 resolution,
   about 19/eta; where 2K+1 >= M (small M, or small eta) the closed form
-  is summed pairwise in O(M^2) and the step is a dense O(M^3) solve, and
+  is summed pairwise in O(M^2) and the step is a dense O(M^3) solve.
+  Newton starts where the thermodynamic limit puts each root: at the
+  preimage of its quantum number under the bulk counting function
+  (`thermo.bulk_counting`), and
 
 * the inhomogeneous equations for the N complex roots lambda_j of the
   twisted chain's Q-polynomial (solved by fitting Q to the
@@ -23,7 +26,7 @@ Both layers describe the uniform chain: the inhomogeneities of the
 T-Q derivation are zero, and no function takes them.
 
 Both Newton iterations stop on fixed module constants (NEWTON_TOL,
-NEWTON_MAX_ITER, JACOBI_SWEEPS); no caller tunes them.
+NEWTON_MAX_ITER); no caller tunes them.
 
 Charges (momentum and the three-site charge) are evaluated directly from
 either root set; symmetric root configurations cancel in exact arithmetic
@@ -50,12 +53,6 @@ from .model import ModelParams
 NEWTON_TOL = 1e-12
 # Newton iterations of solve_log_baes before it gives up.
 NEWTON_MAX_ITER = 200
-# Frozen-interaction scalar sweeps between the decoupled initial guess and
-# the full Newton iteration of solve_log_baes.  Each costs one residual
-# evaluation, as much as one line-search trial (O(M K) on the Fourier-mode
-# path, O(M^2) pairwise), and together they make N ~ several hundred
-# converge in a handful of Newton steps.
-JACOBI_SWEEPS = 8
 
 
 class ConvergenceError(RuntimeError):
@@ -85,19 +82,18 @@ class QuantumNumbers:
 
     def __post_init__(self):
         object.__setattr__(self, "boundary", Boundary.coerce(self.boundary))
-        ti = tuple(int(t) for t in self.twice_I)
-        object.__setattr__(self, "twice_I", ti)
-        if any(b <= a for a, b in zip(ti, ti[1:])):
+        ti = np.asarray(self.twice_I, dtype=np.int64)
+        object.__setattr__(self, "twice_I", tuple(ti.tolist()))
+        if np.any(ti[1:] <= ti[:-1]):
             raise ValueError("quantum numbers must be strictly increasing")
-        if ti:
-            want_even = (self.N - self.M) % 2 == 0
-            if self.boundary is Boundary.PERIODIC:
-                want_even = not want_even
-            for t in ti:
-                if (t % 2 == 0) != want_even:
-                    raise ValueError(
-                        f"2I parity violates the N-M rule: {t} in N={self.N}, M={self.M}, "
-                        f"{self.boundary.value}")
+        want_even = (self.N - self.M) % 2 == 0
+        if self.boundary is Boundary.PERIODIC:
+            want_even = not want_even
+        wrong = (ti % 2 == 0) != want_even
+        if np.any(wrong):
+            raise ValueError(
+                f"2I parity violates the N-M rule: {ti[np.argmax(wrong)]} in N={self.N}, "
+                f"M={self.M}, {self.boundary.value}")
 
     @property
     def M(self) -> int:
@@ -133,7 +129,7 @@ def ground_quantum_numbers(N: int, boundary) -> QuantumNumbers:
         raise ValueError("need N >= 2")
     M = _ground_root_count(N, boundary)
     slots = _slot_window(N, M, boundary)
-    return QuantumNumbers(tuple(slots[len(slots) - M:]), N, boundary)
+    return QuantumNumbers(slots[len(slots) - M:], N, boundary)
 
 
 def excited_quantum_numbers(N: int, boundary, holes: int,
@@ -233,14 +229,6 @@ def _mode_count(eta: float, M: int, N: int) -> int:
     return 0
 
 
-def _harmonics(x, eta: float, K: int) -> np.ndarray:
-    """e^(i n eta x) for n = 1..K, along a new last axis, as running
-    products of e^(i eta x): as accurate as exp of the rounded n eta x,
-    and several times cheaper."""
-    z = np.exp(1j * eta * np.asarray(x))[..., None]
-    return np.cumprod(np.broadcast_to(z, z.shape[:-1] + (K,)), axis=-1)
-
-
 class _Theta2Sum:
     """y -> sum_k theta_2(y - x_k) over fixed sources x_k.
 
@@ -249,41 +237,48 @@ class _Theta2Sum:
     q = e^(-2 eta), is cut after K modes (see `_mode_count`): the sum
     becomes eta (M y - sum x) + 2 sum_n (q^n/n) Im(e^(i n eta y) conj(S_n))
     with S_n = sum_k e^(i n eta x_k), which costs O(M K) once and O(K) per
-    point."""
+    point.  `harmonics` keeps the (K, M) table e^(i n eta x_k) of
+    `thermo._harmonics` (None when K = 0), which the Newton step at x
+    reuses."""
 
     def __init__(self, x: np.ndarray, eta: float, K: int):
         self.x, self.eta, self.K = x, eta, K
+        self.harmonics = None
         if K:
-            self.harmonics = _harmonics(x, eta, K)
+            self.harmonics = _thermo._harmonics(x, eta, K)
             n = np.arange(1, K + 1)
-            self.coef = (2.0 * np.exp(-2.0 * eta * n) / n) * np.conj(self.harmonics.sum(axis=0))
+            self.coef = (2.0 * np.exp(-2.0 * eta * n) / n) * np.conj(self.harmonics.sum(axis=1))
             self.x_sum = x.sum()
 
     def __call__(self, y):
         y = np.asarray(y, dtype=float)
         if not self.K:
             return theta_m(2, y[..., None] - self.x, self.eta).sum(axis=-1)
-        h = self.harmonics if y is self.x else _harmonics(y, self.eta, self.K)
-        return self.eta * (len(self.x) * y - self.x_sum) + (h @ self.coef).imag
+        h = self.harmonics if y is self.x else _thermo._harmonics(y, self.eta, self.K)
+        modes = (self.coef @ h.reshape(self.K, -1)).imag.reshape(y.shape)
+        return self.eta * (len(self.x) * y - self.x_sum) + modes
 
 
 def _log_bae_residual(x, eta, N, twice_I, anti, K):
+    """The log-BAE residual F at x, and the harmonic table of x that its
+    interaction sum built (None when K = 0), for the Newton step at x."""
+    theta2_sum = _Theta2Sum(x, eta, K)
     F = N * theta_m(1, x, eta) - math.pi * np.asarray(twice_I, dtype=float)
     if anti:
         F = F + eta * x
-    F = F - _Theta2Sum(x, eta, K)(x)
-    return F
+    return F - theta2_sum(x), theta2_sum.harmonics
 
 
-def _newton_step(x, F, eta, N, anti, K):
+def _newton_step(x, F, h, eta, N, anti, K):
     """Solve J step = -F for the Jacobian J = D + A of the log-BAEs, with
     A_jk = 2 pi a_2(x_j - x_k) and D_j = 2 pi N Z'(x_j).
 
     With K = 0, J is built densely and LU-solved, O(M^3).  With K > 0,
-    A = V V^T by the Fourier series of a_2: V has the columns sqrt(eta)
-    and sqrt(2 eta q^n) cos(n eta x), sqrt(2 eta q^n) sin(n eta x), and
-    the Woodbury identity solves the step through the (2K+1)-square
-    capacitance system I + V^T D^-1 V, O(M K^2).  A singular system
+    A = V^T V by the Fourier series of a_2: V has the rows sqrt(eta)
+    and sqrt(2 eta q^n) cos(n eta x), sqrt(2 eta q^n) sin(n eta x), read
+    from h, the (K, M) harmonic table of x that `_log_bae_residual` built,
+    and the Woodbury identity solves the step through the (2K+1)-square
+    capacitance system I + V D^-1 V^T, O(M K^2).  A singular system
     raises LinAlgError."""
     a1 = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta)
     if not K:
@@ -294,16 +289,18 @@ def _newton_step(x, F, eta, N, anti, K):
             diag = diag + eta
         np.fill_diagonal(J, diag)
         return np.linalg.solve(J, -F)
-    h = _harmonics(x, eta, K)
-    w = np.sqrt(2.0 * eta * np.exp(-2.0 * eta * np.arange(1, K + 1)))
-    V = np.hstack([np.full((len(x), 1), math.sqrt(eta)), w * h.real, w * h.imag])
-    diag = a1 - V @ V.sum(axis=0)
+    w = np.sqrt(2.0 * eta * np.exp(-2.0 * eta * np.arange(1, K + 1)))[:, None]
+    V = np.empty((2 * K + 1, len(x)))
+    V[0] = math.sqrt(eta)
+    np.multiply(w, h.real, out=V[1:K + 1])
+    np.multiply(w, h.imag, out=V[K + 1:])
+    diag = a1 - V.sum(axis=1) @ V
     if anti:
         diag = diag + eta
-    DV = V / diag[:, None]
+    DV = V / diag
     g = -F / diag
-    cap = np.eye(V.shape[1]) + V.T @ DV
-    return g - DV @ np.linalg.solve(cap, V.T @ g)
+    cap = np.eye(2 * K + 1) + V @ DV.T
+    return g - np.linalg.solve(cap, V @ g) @ DV
 
 
 def _counting(x, roots: "BetheRootsX", theta2_sum: _Theta2Sum):
@@ -336,26 +333,41 @@ def hole_rapidity(roots: BetheRootsX, twice_I_hole: int) -> float:
     return float(brentq(f, lo, hi, xtol=1e-14))
 
 
-def _decoupled_roots(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.ndarray:
-    """Roots of the decoupled equations g(x) = N theta_1(x) [+ eta x] =
-    pi 2I in the window |x| <= pi/eta, where g rises from -pi (N [+ 1])
-    to pi (N [+ 1]) with g' = 2 pi N a_1(x) [+ eta] > 0.
+def _bulk_seed(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.ndarray:
+    """The start of `solve_log_baes`: each root at the preimage of
+    I_j/(N+1) under the bulk counting function Z of `thermo.bulk_counting`,
+    plus the twisted chain's drift eta x/(2 pi N).
 
-    Newton from the chord through the window's ends, each root kept in a
-    bracket that every evaluation narrows; a step that leaves the bracket
-    is replaced by its midpoint.  Stops after a step in which no root
-    moved by more than 1e-9 of the window's half-width: Newton's
-    quadratic convergence leaves that iterate at float resolution."""
-    target = math.pi * twice_I
+    The seed function rises from -(1/4 [+ 1/(2N)]) to 1/4 [+ 1/(2N)] over
+    the window |x| <= pi/eta.  The slot window's extreme slots reach
+    |I|/N = 1/4 on the periodic chain's two-hole states; over N + 1 they
+    stay strictly inside, where the preimage of I/N would sit on the
+    window's edge.
+
+    Newton from the linear interpolation of the seed function on 65
+    points across the window (at eta <= 1 that start halves the
+    evaluations a chord through the window's ends needs), each root kept
+    in a bracket that every evaluation narrows; a step that leaves the
+    bracket is replaced by its midpoint.  Stops after a step in which no
+    root moved by more than 1e-9 of the window's half-width: Newton's
+    quadratic convergence leaves that iterate at float resolution, which
+    where Z is flat (rho_inf small, near the edges at small eta) is
+    itself wider than an ulp of the window edge."""
+    target = twice_I / (2.0 * (N + 1))
+    drift = eta / (2.0 * math.pi * N) if anti else 0.0
     edge = math.pi / eta
     lo, hi = np.full(len(target), -edge), np.full(len(target), edge)
-    x = twice_I / (N + 1 if anti else N) * edge
+    grid = np.linspace(-edge, edge, 65)
+    x = np.interp(target, _thermo.bulk_counting(grid, eta)[0] + drift * grid, grid)
     for _ in range(100):
-        g = N * theta_m(1, x, eta) + (eta * x if anti else 0.0) - target
+        z, rho = _thermo.bulk_counting(x, eta)
+        g = z + drift * x - target
         lo = np.where(g < 0, x, lo)
         hi = np.where(g < 0, hi, x)
-        dg = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
-        xn = x - g / dg
+        # rho underflows to 0 near the edges at small eta; the bracket
+        # replaces the infinite step
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - g / (rho + drift)
         xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
         moved = np.max(np.abs(xn - x))
         x = xn
@@ -369,10 +381,11 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers) -> BetheRootsX:
 
         [eta x_j] + N theta_1(x_j) = 2 pi I_j + sum_k theta_2(x_j - x_k)
 
-    (the eta x_j drift only on the twisted chain).  Initial guess: the
-    decoupled single-root equations solved by safeguarded Newton
-    (`_decoupled_roots`), sharpened by JACOBI_SWEEPS frozen-interaction
-    scalar sweeps.  Each Newton step is tried in full first, and the line
+    (the eta x_j drift only on the twisted chain).  Initial guess: each
+    root where the bulk counting function of the thermodynamic limit
+    places it (`_bulk_seed`), so the root interaction enters the start
+    through the bulk root density.  Each Newton step reuses the harmonic
+    table of its iterate's residual, is tried in full first, and the line
     search halves it from there.  Newton stops at NEWTON_TOL or at 4 ulp
     of the equations' terms, about 2 pi (N + M), whichever is larger: past
     N ~ 1000 an absolute 1e-12 is below float64 resolution; it gives up
@@ -394,39 +407,34 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers) -> BetheRootsX:
         return BetheRootsX(np.zeros(0), qn, eta, 0.0, 0, 0)
     K = _mode_count(eta, M, N)
 
-    x = _decoupled_roots(eta, N, twice_I, anti)
-    for _ in range(JACOBI_SWEEPS):
-        F = _log_bae_residual(x, eta, N, twice_I, anti, K)
-        diag = 2.0 * math.pi * N * _thermo.kernel_a(1, x, eta) + (eta if anti else 0.0)
-        x = x - F / diag
-
+    x = _bulk_seed(eta, N, twice_I, anti)
     tol = max(NEWTON_TOL, 4 * np.finfo(float).eps * 2.0 * math.pi * (N + M))
-    F = _log_bae_residual(x, eta, N, twice_I, anti, K)
+    F, h = _log_bae_residual(x, eta, N, twice_I, anti, K)
     best = np.max(np.abs(F))
     for it in range(1, NEWTON_MAX_ITER + 1):
         if best < tol:
             x = _fold_window(x, eta)
-            F = _log_bae_residual(x, eta, N, twice_I, anti, K)
+            F, _ = _log_bae_residual(x, eta, N, twice_I, anti, K)
             res = float(np.max(np.abs(F)))
             if res > 10 * tol:
                 raise ConvergenceError("window folding moved roots off-branch",
                                        iterate=x, residual=res)
             return BetheRootsX(x, qn, eta, res, it - 1, K)
         try:
-            step = _newton_step(x, F, eta, N, anti, K)
+            step = _newton_step(x, F, h, eta, N, anti, K)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}", iterate=x,
                                    residual=best) from exc
         lam = 1.0
         while lam > 1e-8:
             xn = x + lam * step
-            Fn = _log_bae_residual(xn, eta, N, twice_I, anti, K)
+            Fn, hn = _log_bae_residual(xn, eta, N, twice_I, anti, K)
             if np.max(np.abs(Fn)) < best * (1.0 - 1e-4 * lam) + 1e-300:
                 break
             lam *= 0.5
         else:
             raise ConvergenceError("line search stalled", iterate=x, residual=best)
-        x, F = xn, Fn
+        x, F, h = xn, Fn, hn
         best = float(np.max(np.abs(F)))
     raise ConvergenceError(f"no convergence in {NEWTON_MAX_ITER} iterations",
                            iterate=x, residual=best)

@@ -2,11 +2,12 @@
 
 Everything here is a closed-form k-series obtained from the Fourier-space
 solution of the Bethe root density in the gapped regime eta > 0: the
-ground-state energy density e0, the energy e_h(x0) carried by a hole at
-rapidity x0, the boundary energy of the twisted chain, and the lowest
-excitation gap.  Finite-size (boundary, parity) combinations select which
-of these enter the large-N ground energy; the finite-N position of the
-one ground-state hole follows from an analytic quantization condition.
+ground-state energy density e0, the bulk counting function Z(x) and root
+density rho_inf(x), the energy e_h(x0) carried by a hole at rapidity x0,
+the boundary energy of the twisted chain, and the lowest excitation gap.
+Finite-size (boundary, parity) combinations select which of these enter
+the large-N ground energy; the finite-N position of the one ground-state
+hole follows from an analytic quantization condition.
 
 All sums are written in overflow-safe form (only exp of negative
 arguments appears) and stop at the first term whose envelope drops below
@@ -169,15 +170,56 @@ def ground_energy_tl(N: int, eta: float, boundary) -> float:
     return e
 
 
+def _harmonics(x, eta: float, K: int) -> np.ndarray:
+    """e^(i n eta x) for n = 1..K as one contiguous (K,) + shape(x) table,
+    row n - 1 holding mode n.
+
+    Built by the row recurrence h_n = h_(n-1) e^(i eta x), K - 1 products
+    of one row each: as accurate as exp of the rounded n eta x, and several
+    times cheaper than that or a cumprod along a last axis.  A number x
+    gives the (K,) vector as exp of n eta x in one call, where the
+    recurrence would cost K calls for one element each."""
+    x = np.asarray(x, dtype=float)
+    if not x.ndim:
+        return np.exp(1j * eta * x * np.arange(1, K + 1))
+    z = np.exp(1j * eta * x)
+    h = np.empty((K,) + z.shape, dtype=complex)
+    h[0] = z
+    for n in range(1, K):
+        np.multiply(h[n - 1], z, out=h[n])
+    return h
+
+
+def bulk_counting(x, eta: float):
+    """The bulk counting function Z(x) = int_0^x rho_inf of the ground-state
+    root sea and its density rho_inf(x) (des Cloizeaux & Gaudin, J. Math.
+    Phys. 7 (1966) 1384), at a number or an array x:
+
+        Z(x) = eta x/(4 pi) + sum_k sin(k eta x) / (2 pi k cosh(eta k)),
+        rho_inf(x) = eta/(4 pi) + sum_k eta cos(k eta x) / (2 pi cosh(eta k)).
+
+    Z is odd, rises by 1/2 per period and reads 1/4 at the band edge
+    pi/eta.  The k-sum stops as the series of this module do, with the
+    first term whose envelope sech(eta k) is below TERM_TOL."""
+    _check_eta(eta)
+    x = np.asarray(x, dtype=float)
+    K = math.ceil(math.acosh(1.0 / TERM_TOL) / eta)
+    k = np.arange(1.0, K + 1)
+    coef = np.empty((2, K))
+    e = np.exp(-eta * k)
+    np.divide(2.0 * e, 1.0 + e * e, out=coef[1])   # sech(eta k)
+    np.divide(coef[1], k, out=coef[0])
+    # one real product over the table's (Re, Im) pairs
+    sums = coef @ _harmonics(x, eta, K).reshape(K, -1).view(float)
+    z = eta * x / (4.0 * math.pi) + sums[0, 1::2].reshape(x.shape) / (2.0 * math.pi)
+    rho = eta / (4.0 * math.pi) * (1.0 + 2.0 * sums[1, ::2].reshape(x.shape))
+    return (z, rho) if x.ndim else (float(z), float(rho))
+
+
 def _edge_count(delta: float, eta: float) -> float:
     """2 pi [Z(pi/eta) - Z(pi/eta - delta)] for the bulk counting function
-    Z(x) = int_0^x rho_inf: eta delta/2 + sum_k (-1)^k sin(k eta delta)/(k cosh(eta k))."""
-
-    def term(k):
-        env = _sech(eta * k)
-        return (-1.0) ** k * math.sin(k * eta * delta) * env / k, env
-
-    return 0.5 * eta * delta + _k_series(term)
+    Z of `bulk_counting`, which reads 1/4 at pi/eta."""
+    return 2.0 * math.pi * (0.25 - bulk_counting(math.pi / eta - delta, eta)[0])
 
 
 def _slot_sum_decay_rate(eta: float) -> float:
@@ -200,6 +242,12 @@ def _slot_sum_decay_rate(eta: float) -> float:
 # e-folds by which the finite-size corrections sinh(eta) e^{-c N} must lie
 # below the energy scale before table + hole term is trusted to 1e-5
 _RANGE_EFOLDS = 16.0
+
+
+def _hole_term_min_n(eta: float) -> int:
+    """Smallest N that `hole_quantization_energy` admits at eta: the first
+    with c(eta) N >= ln sinh(eta) + _RANGE_EFOLDS."""
+    return math.ceil((math.log(math.sinh(eta)) + _RANGE_EFOLDS) / _slot_sum_decay_rate(eta))
 
 
 def hole_quantization_energy(N: int, eta: float, boundary) -> float:
@@ -240,11 +288,10 @@ def hole_quantization_energy(N: int, eta: float, boundary) -> float:
     from scipy.optimize import brentq
     _check_eta(eta)
     boundary = Boundary.coerce(boundary)
-    rate = _slot_sum_decay_rate(eta)
-    if eta > 20.0 or rate * N < math.log(math.sinh(eta)) + _RANGE_EFOLDS:
+    if eta > 20.0 or N < _hole_term_min_n(eta):
         raise ValueError(
             f"N={N}, eta={eta} outside the range of the hole-quantization "
-            f"term (c(eta) N = {rate * N:.3g}, need eta <= 20 and "
+            f"term (c(eta) N = {_slot_sum_decay_rate(eta) * N:.3g}, need eta <= 20 and "
             f"c N >= ln sinh(eta) + {_RANGE_EFOLDS:g})")
     if not has_hole(N, boundary):
         return 0.0

@@ -5,7 +5,8 @@ Each ``check_*`` function takes the sizes it samples (N lists, eta lists)
 and returns a `Measured`: the worst deviation under each label, judged
 against that label's bound, a constant beside the check.  ``verify`` runs
 the ``fast`` (N <= 8 for most checks, N <= 12 for the band-edge one) or
-``full`` (larger N, to 20 for the band-edge check; N ~ 200 roots)
+``full`` (larger N, to 20 for the band-edge check; reduced roots at
+N ~ 200, and at eta = 0.5 at N = 74185)
 arguments and reports one line per check.  Ground energies come from ED
 in the ground level's translation sector (dense eigh to N = 12, Lanczos
 above), ground doublets from the same sector (dense eigh to N = 12,
@@ -412,21 +413,35 @@ def check_exact_vs_band_edge(etas, sizes) -> Measured:
     return m
 
 
-LARGE_N_BOUNDS = {"table + hole term": 1e-5}
+LARGE_N_BOUNDS = {"table + hole term": 1e-5,
+                  "table + hole term / sinh(eta), smallest admitted N": 1e-8}
 
 
-def check_large_n_consistency(sizes) -> Measured:
-    """Reduced-root ground energies on both boundaries at eta = 2 against
-    the band-edge table plus the analytic hole-quantization term, which is
-    zero for the hole-free ground states: those test N*e0 alone."""
+def check_large_n_consistency(sizes, etas=()) -> Measured:
+    """Reduced-root ground energies of all four ground states against the
+    band-edge table plus the analytic hole-quantization term, which is
+    zero for the hole-free ground states: those test N*e0 alone.
+
+    At eta = 2 the sizes are `sizes`, held to criterion 6's 1e-5.  At each
+    eta of `etas` they are the smallest N that the hole term admits
+    (`thermo._hole_term_min_n`) and N + 1, where the term's own remainder,
+    of order sinh(eta) e^{-cN}, is below e^-16 by its range rule; the
+    deviation is taken per sinh(eta), the energy scale, so that float
+    rounding of energies of size N cosh(eta) stays below the bound up to
+    eta = 20."""
     m = Measured(LARGE_N_BOUNDS)
-    for N in sizes:
+    points = [(_ETA, N, "table + hole term", 1.0) for N in sizes]
+    for eta in etas:
+        N0 = thermo._hole_term_min_n(eta)
+        points += [(eta, N, "table + hole term / sinh(eta), smallest admitted N",
+                    math.sinh(eta)) for N in (N0, N0 + 1)]
+    for eta, N, label, scale in points:
         for boundary in (_ANTI, _PER):
-            roots = baes.solve_log_baes(_ETA, N, baes.ground_quantum_numbers(N, boundary))
-            expected = (thermo.ground_energy_tl(N, _ETA, boundary)
-                        + thermo.hole_quantization_energy(N, _ETA, boundary))
-            m.add("table + hole term", abs(baes.energy_hom(roots) - expected),
-                  f"N={N} {boundary.value}")
+            roots = baes.solve_log_baes(eta, N, baes.ground_quantum_numbers(N, boundary))
+            expected = (thermo.ground_energy_tl(N, eta, boundary)
+                        + thermo.hole_quantization_energy(N, eta, boundary))
+            m.add(label, abs(baes.energy_hom(roots) - expected) / scale,
+                  f"N={N} eta={eta} {boundary.value}")
     return m
 
 
@@ -446,7 +461,8 @@ CHECKS = {
                              ((range(8, 41, 2), range(4, 41, 2)),)),
     "workbench-roundtrip": (check_workbench_roundtrip, ((2.0, 3.0), (4,)),
                             ((2.0, 3.0), (4,))),
-    "large-n-bae-consistency": (check_large_n_consistency, None, ((200, 201),)),
+    "large-n-bae-consistency": (check_large_n_consistency, None,
+                                ((200, 201), (0.5, 0.8, 1.0, 3.0, 6.0, 20.0))),
     "exact-vs-band-edge": (check_exact_vs_band_edge, ((2.0, 3.0), range(8, 13, 2)),
                            ((2.0, 3.0), range(8, 21, 2))),
 }

@@ -148,9 +148,9 @@ def test_interaction_sums_match_pairwise_oracle(eta, boundary):
         tol = 4 * np.finfo(float).eps * 2.0 * math.pi * (N + qn.M)
         for x in (roots.x, roots.x + 1e-3 * rng.uniform(-1.0, 1.0, qn.M)):
             F = _pairwise_residual(x, eta, N, qn.twice_I, anti)
-            got = baes._log_bae_residual(x, eta, N, qn.twice_I, anti, K)
+            got, h = baes._log_bae_residual(x, eta, N, qn.twice_I, anti, K)
             assert np.max(np.abs(got - F)) <= tol
-            step = baes._newton_step(x, F, eta, N, anti, K)
+            step = baes._newton_step(x, F, h, eta, N, anti, K)
             want = np.linalg.solve(_dense_jacobian(x, eta, N, anti), -F)
             assert np.linalg.norm(step - want) <= 1e-10 * np.linalg.norm(want)
 
@@ -190,20 +190,52 @@ def test_solver_stops_at_float_resolution():
 
 @pytest.mark.parametrize("eta", [0.05, 0.3, 1.0, 2.0, 20.0])
 def test_decoupled_guess_matches_bisection(eta):
-    # the safeguarded Newton of the initial guess lands where bisection of
-    # the monotone decoupled equation does, to 4 ulp of the window edge
+    # the safeguarded Newton of the initial guess, each root decoupled from
+    # the others on the bulk counting function Z (plus the twisted chain's
+    # drift), lands where bisection of Z = I/(N+1) does: to 4 ulp of the
+    # window edge, or, where Z is flat, to 4 ulp of Z's range over its slope
     edge = math.pi / eta
     for N in (3, 60, 1600):
         for boundary in (Boundary.ANTIPERIODIC, Boundary.PERIODIC):
             anti = boundary is Boundary.ANTIPERIODIC
             twice_I = np.asarray(ground_quantum_numbers(N, boundary).twice_I, dtype=float)
+            drift = eta / (2.0 * math.pi * N) if anti else 0.0
             lo, hi = np.full(len(twice_I), -edge), np.full(len(twice_I), edge)
             for _ in range(90):
                 mid = 0.5 * (lo + hi)
-                below = N * theta_m(1, mid, eta) + (eta * mid if anti else 0.0) < math.pi * twice_I
+                below = thermo.bulk_counting(mid, eta)[0] + drift * mid < twice_I / (2.0 * (N + 1))
                 lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
-            x = baes._decoupled_roots(eta, N, twice_I, anti)
-            assert np.max(np.abs(x - 0.5 * (lo + hi))) <= 4 * np.finfo(float).eps * edge
+            x = baes._bulk_seed(eta, N, twice_I, anti)
+            slope = thermo.bulk_counting(x, eta)[1] + drift
+            tol = 4 * np.finfo(float).eps * (edge + 0.25 / slope)
+            assert np.all(np.abs(x - 0.5 * (lo + hi)) <= tol)
+
+
+def _seed_robustness_cases():
+    # the ground states, and periodic even-N two-hole states with both edge
+    # slots filled: mapped naively, their extreme slots would seed roots on
+    # the window's edge
+    for eta in (0.05, 0.3, 1.0, 2.0, 20.0):
+        for N in list(range(2, 41)) + [300, 301, 1600, 1601]:
+            for boundary in (Boundary.ANTIPERIODIC, Boundary.PERIODIC):
+                yield eta, ground_quantum_numbers(N, boundary)
+    for eta in (0.3, 0.5):
+        for N in (8, 20, 300, 600):
+            slots = baes._slot_window(N, N // 2 - 1, Boundary.PERIODIC)
+            L = len(slots)
+            for holes in ((1, 2), (1, L - 2), (L // 2 - 1, L // 2)):
+                yield eta, QuantumNumbers(np.delete(slots, holes), N, Boundary.PERIODIC)
+
+
+def test_seed_converges_on_ground_and_edge_filled_states():
+    for eta, qn in _seed_robustness_cases():
+        anti = qn.boundary is Boundary.ANTIPERIODIC
+        where = (eta, qn.N, qn.boundary.value, qn.twice_I[:2], qn.twice_I[-2:])
+        roots = solve_log_baes(eta, qn.N, qn)
+        F = _pairwise_residual(roots.x, eta, qn.N, qn.twice_I, anti)
+        tol = max(baes.NEWTON_TOL, 4 * np.finfo(float).eps * 2.0 * math.pi * (qn.N + qn.M))
+        assert np.max(np.abs(F)) <= tol, where
+        assert np.all(np.diff(np.sort(roots.x)) > 0), where
 
 
 def test_ground_states_at_ten_thousand_sites():
@@ -224,7 +256,6 @@ def test_solver_convergence_error_carries_iterate(monkeypatch):
     qn = ground_quantum_numbers(8, Boundary.ANTIPERIODIC)
     monkeypatch.setattr(baes, "NEWTON_TOL", 1e-15)
     monkeypatch.setattr(baes, "NEWTON_MAX_ITER", 1)
-    monkeypatch.setattr(baes, "JACOBI_SWEEPS", 0)
     with pytest.raises(ConvergenceError) as err:
         solve_log_baes(ETA, 8, qn)
     assert err.value.iterate is not None

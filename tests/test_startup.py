@@ -29,7 +29,7 @@ _SCRIPT = textwrap.dedent("""
                       [(N, 1.3 * N ** -1.5 + 0.25) for N in (8, 10, 12, 16, 20, 24)])
     assert [v.hex() for v in (fit.a, fit.b, fit.c)] == [
         "0x1.4cccccccccc83p+0", "-0x1.7ffffffffffe2p+0", "0x1.ffffffffffffcp-3"]
-    assert thermo.hole_quantization_energy(60, 2.0, "anti").hex() == "0x1.4e284db22f700p-7"
+    assert thermo.hole_quantization_energy(60, 2.0, "anti").hex() == "0x1.4e284db22fa00p-7"
     qn = baes.ground_quantum_numbers(60, Boundary.ANTIPERIODIC)
     roots = baes.solve_log_baes(2.0, 60, qn)
     assert baes.hole_rapidity(roots, min(qn.twice_I) - 2).hex() == "-0x1.85f0678464a6ap+0"

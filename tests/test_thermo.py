@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from twistbethe.common import Boundary, Parity
 from twistbethe.thermo import (
     XXX_LIMIT,
+    bulk_counting,
     density_fourier,
     e0_density,
     excitation_gap_tl,
@@ -171,6 +172,19 @@ def test_density_fourier_energy_reconstruction():
     m = check_thermo_series(etas=(1.0, 2.0, 3.0))
     assert "density contraction vs table" in m.worst
     assert m.ok, m.summary()
+
+
+def test_bulk_counting_integrates_its_density():
+    # Z(x) = int_0^x rho_inf, 1/4 at the band edge; a number and an array
+    # (two routes to the harmonics) give the same values
+    for eta in (0.5, 1.0, 2.0):
+        xs = np.array([0.3, 1.1, math.pi / eta])
+        z, rho = bulk_counting(xs, eta)
+        for x, zx, rx in zip(xs, z, rho):
+            integral, _ = quad(lambda y: bulk_counting(y, eta)[1], 0.0, x, epsabs=1e-14)
+            assert zx == pytest.approx(integral, abs=1e-13)
+            assert bulk_counting(x, eta) == pytest.approx((zx, rx), abs=1e-15)
+        assert z[-1] == pytest.approx(0.25, abs=1e-15)
 
 
 def test_hole_quantization_energy_zero_without_hole():

@@ -381,6 +381,9 @@ PERTURBATIONS = [
      "inhom_contribution", lambda f: lambda N, *a, **k: f(N, *a, **k) * N ** -2.0),
     (check_large_n_consistency, ((200, 201),), "hole_quantization_energy + 2e-5",
      thermo, "hole_quantization_energy", _offset(2e-5)),
+    (check_large_n_consistency, ((), (0.8, 1.0)),
+     "hole_quantization_energy + 2e-8, smallest admitted N", thermo,
+     "hole_quantization_energy", _offset(2e-8)),
     (check_parity_reversal, ((2.0,), (100, 101)), "twisted_boundary_energy * (1 + 1e-12)",
      thermo, "twisted_boundary_energy", _scale(1 + 1e-12)),
     (check_operator_identities, (6, 2), "transfer_matrix at u + 1e-9", model,
