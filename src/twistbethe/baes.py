@@ -747,17 +747,16 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
     Energy: exact value from the lowest ED level (ED in the ground
     level's translation sector, about 2^(N-1)/N states: dense eigh to
     N = 12, Lanczos to N = 20); positive for even N, negative for odd.
-    Momentum: the exact even-N doublet values are +-i pi/2; the reduced
+    The charges need no ED.  Momentum: the exact values are the doublet's
+    t(0) phases, +-i pi/2 at even N and {0, i pi} at odd N; the reduced
     value is compared against the member it approximates (nearest
-    branch), which makes the defect a smooth single-signed sequence in N;
-    exactly 0 for odd N.  ChargeH2: the exact
-    ground-state value vanishes; even N returns the reduced value against
-    the ED doublet expectation, odd N is exactly 0 by root-set symmetry."""
+    branch), which makes the even-N defect single-signed in N.  ChargeH2:
+    the exact doublet value is 0 (H2's elements are imaginary, and it
+    keeps parity).  At odd N the roots are symmetric and both are 0."""
     key = str(observable).strip().lower()
     if key not in ("energy", "momentum", "chargeh2"):
         raise ValueError(f"unknown observable: {observable!r}")
-    needs_ed = key == "energy" or (key == "chargeh2" and N % 2 == 0)
-    if needs_ed and N > _model.ITERATIVE_MAX:
+    if key == "energy" and N > _model.ITERATIVE_MAX:
         raise ValueError("exact value needs ED; N <= 20")
     boundary = Boundary.ANTIPERIODIC
     qn = ground_quantum_numbers(N, boundary)
@@ -771,17 +770,11 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
         return float(e_hom - spec.eigenvalues[0])
 
     if key == "momentum":
-        if N % 2 == 1:
-            return complex(0.0)   # exact: both members match {0, i pi} exactly
         p = charge_from_roots("momentum", roots)
-        exact = complex(0.0, math.copysign(math.pi / 2.0, p.imag))
+        if N % 2 == 0:
+            exact = complex(0.0, math.copysign(math.pi / 2.0, p.imag))
+        else:
+            exact = complex(0.0, math.pi * round(p.imag / math.pi))
         return complex(p - exact)
 
-    if N % 2 == 1:                # H2
-        return 0.0                # exact by symmetric-root cancellation
-    h2_hom = charge_from_roots("ChargeH2", roots)
-    params = ModelParams(N, eta, boundary)
-    gs = _model.ground_space(params, seed=seed)
-    H2 = _model.build_h2_charge(params)
-    h2_ed = np.vdot(gs.branch, H2.matvec(gs.branch))
-    return float(h2_hom.real - h2_ed.real)
+    return float(charge_from_roots("ChargeH2", roots).real)

@@ -4,9 +4,11 @@
     twistbethe verify --level fast|full
     twistbethe fit --kind power-offset --input scan.csv --y e_b_over_cosh
 
-Experiments write per-point JSON caches plus aggregated CSV/JSON (and SVG
-for scans) into the output directory.  A JSON config file can supply any
-field of the experiment configuration; explicit flags override it.
+An experiment's subcommand has a flag for each input it reads
+(`runner.inputs`).  Experiments write per-point JSON caches plus
+aggregated CSV/JSON (and SVG for scans) into the output directory.  A
+JSON config file can supply the same fields; explicit flags override it.
+Experiment names and the verify level match in any letter case.
 
 Exit codes: 0 success, 1 verification or solver failure, 2 bad config.
 """
@@ -14,15 +16,18 @@ Exit codes: 0 success, 1 verification or solver failure, 2 bad config.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import dataclasses
 import json
 import sys
 
 from ..common import Boundary
 from ..scaling import _KINDS, FitError, _coerce_kind, extrapolate, fit, fit_with_window
-from .config import ConfigError, ExperimentConfig, load_config_file
+from .config import (INPUT_FIELDS, ConfigError, ExperimentConfig, coerce_experiment,
+                     load_config_file)
 from .emit import emit, parse_csv
-from .runner import EXPERIMENT_TABLE, run
-from .verify import verify
+from .runner import EXPERIMENT_TABLE, inputs, run
+from .verify import coerce_level, verify
 
 
 def _parse_n_list(text: str) -> list[int]:
@@ -66,6 +71,17 @@ def _parsed_by(coerce):
     return parse
 
 
+# the flag of each experiment input; --eta and --n are parsed after argparse
+# (`_cmd_experiment`), so that a malformed list is a config error
+_INPUT_FLAGS = {
+    "eta": ("--eta", dict(help="crossing parameter, single value or comma list")),
+    "N": ("--n", dict(metavar="LIST|RANGE", help="chain sizes: '4,6,8' or '8..18:2'")),
+    "boundary": ("--boundary", dict(type=_parsed_by(Boundary.coerce),
+                                    help="anti[periodic] or per[iodic], in any letter case")),
+    "seed": ("--seed", dict(type=int, help="ED start-vector seed")),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twistbethe",
@@ -73,33 +89,27 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in EXPERIMENT_TABLE:
-        p = sub.add_parser(name, aliases=[name.lower()],
-                           help=f"run the {name} experiment")
-        p.add_argument("--eta", type=str, default=None,
-                       help="crossing parameter, single value or comma list")
-        p.add_argument("--n", type=str, default=None, metavar="LIST|RANGE",
-                       help="chain sizes: '4,6,8' or '8..18:2'")
-        p.add_argument("--boundary", type=_parsed_by(Boundary.coerce), default=None,
-                       help="anti[periodic] or per[iodic], in any letter case")
+        p = sub.add_parser(name, help=f"run the {name} experiment")
+        for key in inputs(name):
+            flag, settings = _INPUT_FLAGS[key]
+            p.add_argument(flag, dest=key, default=None, **settings)
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--force", action="store_true",
                        help="recompute cached points")
         p.add_argument("--config", type=str, default=None,
                        help="JSON config file; flags override its values")
         p.add_argument("--formats", type=str, default="csv,json,svg",
                        help="comma list out of csv,json,svg")
-        p.set_defaults(experiment=name)
 
     pv = sub.add_parser("verify", help="run the self-check suite")
-    pv.add_argument("--level", choices=["fast", "full"], default="fast")
+    pv.add_argument("--level", type=_parsed_by(coerce_level), default="fast",
+                    help="fast or full, in any letter case")
 
     pf = sub.add_parser("fit", help="fit a scaling law to a CSV")
     pf.add_argument("--kind", required=True, type=_parsed_by(_coerce_kind),
                     help=f"one of {', '.join(_KINDS)}, in any letter case")
     pf.add_argument("--input", required=True, help="CSV produced by a scan")
-    pf.add_argument("--x", default="N", help="size column (default N)")
-    pf.add_argument("--y", required=True, help="value column")
+    pf.add_argument("--y", required=True, help="value column; the sizes are column N")
     pf.add_argument("--window", action="store_true",
                     help="drop small sizes outside the law before fitting")
     return parser
@@ -107,14 +117,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_experiment(args) -> int:
     file_data = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "experiment": args.experiment,
-        "eta": _parse_eta(args.eta) if args.eta else None,
-        "N_list": _parse_n_list(args.n) if args.n else None,
-        "boundary": args.boundary,
-        "output_dir": args.out,
-        "seed": args.seed,
-    }
+    if coerce_experiment(file_data.get("experiment", args.command)) != args.command:
+        raise ConfigError(f"config file names {file_data['experiment']!r}, not {args.command}")
+    given = {name: getattr(args, name) for name in inputs(args.command)}
+    for name, parse in (("eta", _parse_eta), ("N", _parse_n_list)):
+        if name in given:
+            given[name] = parse(given[name]) if given[name] else None
+    overrides = {"experiment": args.command, "output_dir": args.out,
+                 **{INPUT_FIELDS[name]: value for name, value in given.items()}}
     config = ExperimentConfig.from_dict(file_data, overrides)
 
     records = run(config, force=args.force)
@@ -160,12 +170,11 @@ def _cmd_fit(args) -> int:
     for row in rows:
         if str(row.get("status", "ok")) not in ("ok", ""):
             continue
-        if args.y not in row or args.x not in row or row[args.y] == "":
+        if args.y not in row or "N" not in row or row[args.y] == "":
             continue
-        samples.append((int(float(row[args.x])), float(row[args.y])))
+        samples.append((row["N"], float(row[args.y])))
     if not samples:
-        print(f"no usable rows with columns {args.x!r}, {args.y!r}",
-              file=sys.stderr)
+        print(f"no usable rows with columns 'N', {args.y!r}", file=sys.stderr)
         return 2
     try:
         if args.window:
@@ -175,14 +184,7 @@ def _cmd_fit(args) -> int:
     except (FitError, ValueError) as exc:
         print(f"fit failed: {exc}", file=sys.stderr)
         return 1
-    payload = {
-        "kind": result.kind,
-        "a": result.a,
-        "b": result.b,
-        "c": result.c,
-        "rms_residual": result.rms_residual,
-        "n_points": result.n_points,
-    }
+    payload = dataclasses.asdict(result)
     if result.b < 0:
         payload["asymptote"] = extrapolate(result)
     print(json.dumps(payload, indent=2))
@@ -190,8 +192,10 @@ def _cmd_fit(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = list(sys.argv[1:] if argv is None else argv)
+    with contextlib.suppress(IndexError, ConfigError):   # not an experiment: argparse decides
+        argv[0] = coerce_experiment(argv[0])   # an experiment's name in any letter case
+    args = _build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             return _cmd_verify(args)

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..common import Boundary
-from .runner import EXPERIMENT_TABLE
+from .runner import EXPERIMENT_TABLE, inputs
 
-__all__ = ["EXPERIMENTS", "ConfigError", "ExperimentConfig", "load_config_file"]
+__all__ = ["EXPERIMENTS", "INPUT_FIELDS", "ConfigError", "ExperimentConfig",
+           "load_config_file"]
 
 EXPERIMENTS = tuple(EXPERIMENT_TABLE)
+
+# the field that each experiment input, a parameter of its body, is read from
+INPUT_FIELDS = {"eta": "eta", "N": "N_list", "boundary": "boundary", "seed": "seed"}
 
 _CANONICAL = {name.lower(): name for name in EXPERIMENTS}
 
@@ -36,6 +40,8 @@ class ExperimentConfig:
 
     ``eta`` is held as the tuple of swept values and may be given as a
     single value or a list; ``N_list`` must be nonempty and ascending.
+    A sweep reads only the fields of its experiment's inputs
+    (`runner.inputs`, by INPUT_FIELDS); `from_dict` refuses the others.
     """
 
     experiment: str
@@ -80,18 +86,21 @@ class ExperimentConfig:
         """Build a config from a JSON-style dict, with CLI overrides on top.
 
         Override values that are None are ignored, so absent CLI flags do
-        not clobber config-file values.
+        not clobber config-file values.  Besides ``experiment`` and
+        ``output_dir``, only the fields of the experiment's inputs are
+        accepted.
         """
         merged = dict(data)
         for key, val in (overrides or {}).items():
             if val is not None:
                 merged[key] = val
-        known = {f.name for f in fields(cls)}
-        unknown = set(merged) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         if "experiment" not in merged:
             raise ConfigError("config needs an 'experiment' entry")
+        experiment = coerce_experiment(merged["experiment"])
+        unread = set(merged) - {"experiment", "output_dir",
+                                *(INPUT_FIELDS[name] for name in inputs(experiment))}
+        if unread:
+            raise ConfigError(f"{experiment} reads no config keys {sorted(unread)}")
         return cls(**merged)
 
 

@@ -1,11 +1,12 @@
 """Experiment orchestration: sweep grids, per-point JSON cache, records.
 
-Each sweep point is computed once and cached as a JSON file keyed by a
-hash of the experiment name, its full parameter set and a digest of the
-package sources, so interrupted
-sweeps resume, repeated runs are byte-identical, and a point computed by
-different code is never served.  Point failures are recorded with an
-error status and never abort the sweep.
+An experiment body's parameters are the inputs it reads (`inputs`): the
+sweep's axes, a record's params and the CLI's flags.  Each sweep point
+is computed once and cached as a JSON file keyed by a hash of the
+experiment name, its params and a digest of the package sources, so
+interrupted sweeps resume, repeated runs are byte-identical, and a point
+computed by different code is never served.  Point failures are recorded
+with an error status and never abort the sweep.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import cmath
 import dataclasses
 import functools
 import hashlib
+import inspect
+import itertools
 import json
 import math
 import os
@@ -22,8 +25,6 @@ from datetime import datetime, timezone
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-import numpy as np
-
 from .. import __version__
 from .. import baes, model, thermo
 from ..common import Boundary, Parity
@@ -31,7 +32,7 @@ from ..common import Boundary, Parity
 if TYPE_CHECKING:
     from .config import ExperimentConfig
 
-__all__ = ["EXPERIMENT_TABLE", "ResultRecord", "run", "flatten_record"]
+__all__ = ["EXPERIMENT_TABLE", "ResultRecord", "inputs", "run", "flatten_record"]
 
 
 @dataclasses.dataclass
@@ -65,14 +66,9 @@ class ResultRecord:
 
 def flatten_record(record: ResultRecord) -> dict:
     """Single flat mapping for tabular output: params, outputs, provenance."""
-    flat = {"experiment": record.experiment}
-    flat.update(record.params)
-    flat.update(record.outputs)
-    flat["status"] = record.status
-    flat["error"] = record.error if record.error else ""
-    flat["timestamp"] = record.timestamp
-    flat["version"] = record.version
-    return flat
+    return {"experiment": record.experiment, **record.params, **record.outputs,
+            "status": record.status, "error": record.error or "",
+            "timestamp": record.timestamp, "version": record.version}
 
 
 # ---------------------------------------------------------------------------
@@ -102,10 +98,6 @@ def _point_key(experiment: str, params: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()[:20]
 
 
-def _cache_path(config: ExperimentConfig, experiment: str, key: str) -> Path:
-    return Path(config.output_dir) / "cache" / f"{experiment}-{key}.json"
-
-
 def _write_atomic(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -120,22 +112,23 @@ def _write_atomic(path: Path, text: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies; each returns a dict of named scalars
+# experiment bodies; each returns a dict of named scalars, and its
+# parameters, the inputs it reads, are the one declaration of them
 
 
-def _low_spectrum(cfg: ExperimentConfig, eta: float, N: int):
+def _low_spectrum(eta: float, N: int, boundary: str, seed: int):
     """The lowest min(6, 2^N) levels of H, and the gap from the ground level
     to the first level more than 1e-8 above it (0.0 if none is)."""
-    params = model.ModelParams(N=N, eta=eta, boundary=cfg.boundary)
+    params = model.ModelParams(N=N, eta=eta, boundary=boundary)
     spec = model.ed_spectrum(model.build_hamiltonian(params), min(6, params.dim),
-                             seed=cfg.seed)
+                             seed=seed)
     e0 = spec.eigenvalues[0]
     gap = next((float(e - e0) for e in spec.eigenvalues[1:] if e - e0 > 1e-8), 0.0)
     return spec, gap
 
 
-def _exp_ed_spectrum(cfg: ExperimentConfig, eta: float, N: int) -> dict:
-    spec, gap = _low_spectrum(cfg, eta, N)
+def _exp_ed_spectrum(eta: float, N: int, boundary: str, seed: int) -> dict:
+    spec, gap = _low_spectrum(eta, N, boundary, seed)
     e0 = spec.eigenvalues[0]
     return {
         "e0": float(e0),
@@ -146,8 +139,8 @@ def _exp_ed_spectrum(cfg: ExperimentConfig, eta: float, N: int) -> dict:
     }
 
 
-def _exp_solve_hom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
-    qn = baes.ground_quantum_numbers(N, cfg.boundary)
+def _exp_solve_hom(eta: float, N: int, boundary: str) -> dict:
+    qn = baes.ground_quantum_numbers(N, boundary)
     roots = baes.solve_log_baes(eta, N, qn)
     energy = baes.energy_hom(roots)
     return {
@@ -161,12 +154,12 @@ def _exp_solve_hom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
     }
 
 
-def _exp_solve_inhom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
+def _exp_solve_inhom(eta: float, N: int, seed: int) -> dict:
     params = model.ModelParams(N=N, eta=eta, boundary=Boundary.ANTIPERIODIC)
     roots = baes.solve_inhom_baes(params)
     energy = baes.energy_inhom(roots, params)
     ed = model.ed_spectrum(model.build_hamiltonian(params), 1,
-                           seed=cfg.seed).eigenvalues[0]
+                           seed=seed).eigenvalues[0]
     return {
         "energy": float(energy),
         "ed_energy": float(ed),
@@ -177,28 +170,28 @@ def _exp_solve_inhom(cfg: ExperimentConfig, eta: float, N: int) -> dict:
     }
 
 
-def _exp_einh_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
-    e_inh = baes.inhom_contribution(N, eta, "Energy", seed=cfg.seed)
+def _exp_einh_scan(eta: float, N: int, seed: int) -> dict:
+    e_inh = baes.inhom_contribution(N, eta, "Energy", seed=seed)
     return {
         "e_inh": float(e_inh),
         "e_inh_over_cosh": float(e_inh / math.cosh(eta)),
     }
 
 
-def _exp_boundary_energy_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
+def _exp_boundary_energy_scan(eta: float, N: int, seed: int) -> dict:
     out = {}
     for tag, boundary in (("anti", Boundary.ANTIPERIODIC), ("per", Boundary.PERIODIC)):
         params = model.ModelParams(N=N, eta=eta, boundary=boundary)
         H = model.build_hamiltonian(params)
-        out[f"e_{tag}"] = float(model.ed_spectrum(H, 1, seed=cfg.seed).eigenvalues[0])
+        out[f"e_{tag}"] = float(model.ed_spectrum(H, 1, seed=seed).eigenvalues[0])
     e_b = out["e_anti"] - out["e_per"]
     out["e_b"] = float(e_b)
     out["e_b_over_cosh"] = float(e_b / math.cosh(eta))
     return out
 
 
-def _exp_gap_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
-    spec, gap = _low_spectrum(cfg, eta, N)
+def _exp_gap_scan(eta: float, N: int, boundary: str, seed: int) -> dict:
+    spec, gap = _low_spectrum(eta, N, boundary, seed)
     return {
         "e0": float(spec.eigenvalues[0]),
         "gap": gap,
@@ -207,21 +200,21 @@ def _exp_gap_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
     }
 
 
-def _exp_charge_scan(cfg: ExperimentConfig, eta: float, N: int) -> dict:
+def _exp_charge_scan(eta: float, N: int, seed: int) -> dict:
     params = model.ModelParams(N=N, eta=eta, boundary=Boundary.ANTIPERIODIC)
-    gs = model.ground_space(params, seed=cfg.seed)
+    gs = model.ground_space(params, seed=seed)
     momenta = sorted((cmath.log(complex(ev)).imag for ev in gs.t0_eigenvalues))
-    p_inh = baes.inhom_contribution(N, eta, "Momentum", seed=cfg.seed)
-    h2_inh = baes.inhom_contribution(N, eta, "ChargeH2", seed=cfg.seed)
+    p_inh = baes.inhom_contribution(N, eta, "Momentum")
+    h2_inh = baes.inhom_contribution(N, eta, "ChargeH2")
     return {
         "p_im_low": float(momenta[0]),
         "p_im_high": float(momenta[1]),
         "p_inh_im": float(complex(p_inh).imag),
-        "h2_inh": float(np.real(h2_inh)),
+        "h2_inh": float(h2_inh),
     }
 
 
-def _exp_thermo(cfg: ExperimentConfig, eta: float, N: int | None) -> dict:
+def _exp_thermo(eta: float) -> dict:
     e0 = thermo.e0_density(eta)
     e_b = thermo.twisted_boundary_energy(eta, Parity.EVEN)
     gap = thermo.excitation_gap_tl(eta, Parity.ODD)
@@ -255,33 +248,27 @@ EXPERIMENT_TABLE = {
 # sweep driver
 
 
-def _grid(config: ExperimentConfig):
-    """Sweep points as (params_echo, callable) pairs, in deterministic order."""
-    body = EXPERIMENT_TABLE[config.experiment][0]
-    boundary = config.boundary.value
-    points = []
-    if config.experiment == "Thermo":
-        for eta in config.eta:
-            params = {"eta": eta, "seed": config.seed}
-            points.append((params, lambda c, e=eta: body(c, e, None)))
-        return points
-
-    for eta in config.eta:
-        for N in config.N_list:
-            params = {"eta": eta, "N": int(N), "boundary": boundary,
-                      "seed": config.seed}
-            points.append((params, lambda c, e=eta, n=N: body(c, e, n)))
-    return points
+def inputs(experiment: str) -> tuple:
+    """The inputs an experiment reads: its body's parameters, in order."""
+    return tuple(inspect.signature(EXPERIMENT_TABLE[experiment][0]).parameters)
 
 
-def _compute_point(config: ExperimentConfig, params: dict, body) -> ResultRecord:
+def _grid(config: ExperimentConfig) -> list[dict]:
+    """Sweep points, each the params of one body call: the product over the
+    experiment's inputs in signature order, eta outermost."""
+    axes = {"eta": config.eta, "N": config.N_list,
+            "boundary": (config.boundary.value,), "seed": (config.seed,)}
+    names = inputs(config.experiment)
+    return [dict(zip(names, values)) for values in itertools.product(*map(axes.get, names))]
+
+
+def _compute_point(experiment: str, params: dict) -> ResultRecord:
     stamp = datetime.now(timezone.utc).isoformat()
     try:
-        outputs = body(config)
-        return ResultRecord(config.experiment, params, outputs, "ok", None,
-                            stamp, __version__)
+        outputs = EXPERIMENT_TABLE[experiment][0](**params)
+        return ResultRecord(experiment, params, outputs, "ok", None, stamp, __version__)
     except Exception as exc:  # per-point failures must not abort the sweep
-        return ResultRecord(config.experiment, params, {}, "error",
+        return ResultRecord(experiment, params, {}, "error",
                             f"{type(exc).__name__}: {exc}", stamp, __version__)
 
 
@@ -292,9 +279,9 @@ def run(config: ExperimentConfig, *, force: bool = False) -> list[ResultRecord]:
     point yields a record with status ``error``.
     """
     records = []
-    for params, body in _grid(config):
-        path = _cache_path(config, config.experiment,
-                           _point_key(config.experiment, params))
+    for params in _grid(config):
+        key = _point_key(config.experiment, params)
+        path = Path(config.output_dir) / "cache" / f"{config.experiment}-{key}.json"
         if not force and path.exists():
             try:
                 records.append(ResultRecord.from_dict(
@@ -302,7 +289,7 @@ def run(config: ExperimentConfig, *, force: bool = False) -> list[ResultRecord]:
                 continue
             except (json.JSONDecodeError, TypeError):
                 pass  # corrupt or mistyped cache entry: recompute below
-        record = _compute_point(config, params, body)
+        record = _compute_point(config.experiment, params)
         _write_atomic(path, json.dumps(record.to_dict(), indent=2) + "\n")
         records.append(record)
     return records

@@ -4,16 +4,15 @@ levels and by the acceptance suite (``tests/test_acceptance.py``).
 Each ``check_*`` function takes the sizes it samples (N lists, eta lists)
 and returns a `Measured`: the worst deviation under each label, judged
 against that label's bound, a constant beside the check.  ``verify`` runs
-the ``fast`` (N <= 8 for most checks, N <= 12 for the band-edge one) or
-``full`` (larger N, to 20 for the band-edge check; reduced roots at
-N ~ 200, and at eta = 0.5 at N = 74185)
-arguments and reports one line per check.  Ground energies come from ED
-in the ground level's translation sector (dense eigh to N = 12, Lanczos
-above), ground doublets from the same sector (dense eigh to N = 12,
-ARPACK above).
-The CLI maps any failure to a nonzero exit code.  Checks reach the
-program through its module attributes at call time, so a perturbed
-function is picked up rather than a stale reference.
+the ``fast`` (N <= 8 for most checks, N <= 12 for the band-edge and
+ED-asymptote ones) or ``full`` (larger N, to 20 for the band-edge check;
+reduced roots at N ~ 200, and at eta = 0.5 at N = 74185) arguments and
+reports one line per check.  Ground energies come from ED in the ground
+level's translation sector (dense eigh to N = 12, Lanczos above), ground
+doublets from the same sector (dense eigh to N = 12, ARPACK above).  The
+CLI maps any failure to a nonzero exit code.  Checks reach the program
+through its module attributes at call time, so a perturbed function is
+picked up rather than a stale reference.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from .config import ExperimentConfig
 from .emit import emit, parse_csv
 from .runner import flatten_record, run
 
-__all__ = ["CheckResult", "Measured", "VerifyReport", "verify"]
+__all__ = ["CheckResult", "Measured", "VerifyReport", "coerce_level", "verify"]
 
 _ETA = 2.0
 _ANTI, _PER = Boundary.ANTIPERIODIC, Boundary.PERIODIC
@@ -296,8 +295,8 @@ CHARGE_BOUNDS = {"momentum": 1e-9, "H2 expectation": 1e-8, "odd-N reduced charge
 def check_charges(evens, odds) -> Measured:
     """Twisted-chain ground doublet at eta = 2: its t(0) phases are exactly
     +-pi/2 at even N and {0, pi} at odd N, and <H2> vanishes on both
-    members; the reduced momentum and H2 corrections are exactly 0 at each
-    odd N."""
+    members; the reduced momentum and H2 corrections, computed from the
+    symmetric reduced roots of each odd N, are exactly 0."""
     m = Measured(CHARGE_BOUNDS)
     for N in sorted([*evens, *odds]):
         params = model.ModelParams(N, _ETA, _ANTI)
@@ -356,13 +355,12 @@ ROUNDTRIP_BOUNDS = {"failed points": 0, "rerun differs": 0, "CSV mismatches": 0,
                     "JSON differs": 0}
 
 
-def check_workbench_roundtrip(etas, sizes) -> Measured:
+def check_workbench_roundtrip(etas) -> Measured:
     """A Thermo sweep reruns byte-identically from its cache, and its CSV and
     JSON files parse back to the records."""
     m = Measured(ROUNDTRIP_BOUNDS)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = ExperimentConfig(experiment="Thermo", eta=list(etas), N_list=list(sizes),
-                               output_dir=tmp)
+        cfg = ExperimentConfig(experiment="Thermo", eta=list(etas), output_dir=tmp)
         records = run(cfg)
         m.add("failed points", sum(r.status != "ok" for r in records))
         first = emit(records, "CSV", tmp)[0].read_bytes()
@@ -445,9 +443,13 @@ def check_large_n_consistency(sizes, etas=()) -> Measured:
     return m
 
 
+# the identities, and criteria 1-3: the paper's table, the isotropic limit
+_THERMO_ARGS = ((1.0, 2.0, 3.0), (2.0, 3.0), (2.0, 3.0), (0.6, 0.45, 0.3, 0.2, 0.05))
+# the synthetic laws, and criterion 10's ED asymptote at eta = 2 and 3
+_SCALING_ARGS = ((range(8, 41, 2), range(4, 41, 2)), (2.0, 3.0), (4, 6, 8, 10, 12))
 # name: (check, its arguments at level fast, at level full; None: not run)
 CHECKS = {
-    "thermo-series-identities": (check_thermo_series, ((1.0, 2.0, 3.0),), ((1.0, 2.0, 3.0),)),
+    "thermo-series-identities": (check_thermo_series, _THERMO_ARGS, _THERMO_ARGS),
     "parity-reversal": (check_parity_reversal, ((1.5, 2.0), (100, 101)),
                         ((1.5, 2.0), (100, 101))),
     "operator-identities": (check_operator_identities, (6, 3), (6, 20)),
@@ -457,10 +459,8 @@ CHECKS = {
                            ((8, 10, 12, 14, 16, 18), (7, 9, 11, 13))),
     "conserved-charges": (check_charges, (range(4, 9, 2), range(5, 8, 2)),
                           (range(4, 17, 2), range(5, 16, 2))),
-    "scaling-fit-recovery": (check_scaling_recovery, ((range(8, 41, 2), range(4, 41, 2)),),
-                             ((range(8, 41, 2), range(4, 41, 2)),)),
-    "workbench-roundtrip": (check_workbench_roundtrip, ((2.0, 3.0), (4,)),
-                            ((2.0, 3.0), (4,))),
+    "scaling-fit-recovery": (check_scaling_recovery, _SCALING_ARGS, _SCALING_ARGS),
+    "workbench-roundtrip": (check_workbench_roundtrip, ((2.0, 3.0),), ((2.0, 3.0),)),
     "large-n-bae-consistency": (check_large_n_consistency, None,
                                 ((200, 201), (0.5, 0.8, 1.0, 3.0, 6.0, 20.0))),
     "exact-vs-band-edge": (check_exact_vs_band_edge, ((2.0, 3.0), range(8, 13, 2)),
@@ -469,11 +469,17 @@ CHECKS = {
 LEVELS = ("fast", "full")
 
 
-def verify(level: str = "fast") -> VerifyReport:
-    """Run the named level's checks, each timed and reported on one line."""
+def coerce_level(level) -> str:
+    """A verify level, fast or full, in any letter case."""
     key = str(level).strip().lower()
     if key not in LEVELS:
         raise ValueError(f"unknown verify level: {level!r}; use fast or full")
+    return key
+
+
+def verify(level: str = "fast") -> VerifyReport:
+    """Run the named level's checks, each timed and reported on one line."""
+    key = coerce_level(level)
     results = []
     t_start = time.perf_counter()
     for name, (check, *level_args) in CHECKS.items():

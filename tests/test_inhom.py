@@ -119,6 +119,34 @@ def test_contribution_exact_zeros_odd():
         assert inhom_contribution(N, ETA, "ChargeH2") == 0
 
 
+def test_charge_contributions_need_no_ed(monkeypatch):
+    # the exact charges are the ground doublet's analytic values: t(0)
+    # phases for the momentum, 0 for H2, so neither touches ED, at any N
+    expected = {N: (inhom_contribution(N, ETA, "Momentum"),
+                    inhom_contribution(N, ETA, "ChargeH2")) for N in (4, 5)}
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("ED called for a charge")
+
+    for name in ("ground_space", "build_h2_charge", "build_hamiltonian", "ed_spectrum"):
+        monkeypatch.setattr(model, name, unreachable)
+    for N, values in expected.items():
+        assert (inhom_contribution(N, ETA, "Momentum"),
+                inhom_contribution(N, ETA, "ChargeH2")) == values
+    roots = baes.solve_log_baes(ETA, 22, baes.ground_quantum_numbers(22, "anti"))
+    assert inhom_contribution(22, ETA, "ChargeH2") == charge_from_roots("ChargeH2", roots).real
+
+
+def test_h2_expectation_on_branch_vector_is_exactly_zero():
+    # why ChargeH2's exact value is 0 with no ED: H2's elements are
+    # imaginary; the branch vector is (mu v + t(0) v)/sqrt 2 with v real,
+    # and H2 keeps parity, while v and t(0) v lie in different parity blocks
+    for N in (4, 6, 8, 10):
+        params = ModelParams(N, ETA, "anti")
+        v = model.ground_space(params).branch
+        assert np.vdot(v, model.build_h2_charge(params).matvec(v)).real == 0.0
+
+
 def test_contribution_h2_even():
     vals = [inhom_contribution(N, ETA, "ChargeH2") for N in (4, 6, 8)]
     assert all(v < 0 for v in vals)
@@ -149,8 +177,6 @@ def test_rejects_unsupported_inputs(monkeypatch):
         solve_inhom_baes(ModelParams(14, ETA, "anti"))
     with pytest.raises(ValueError):
         inhom_contribution(22, ETA, "Energy")
-    with pytest.raises(ValueError):
-        inhom_contribution(22, ETA, "ChargeH2")
     for observable in ("Spin", "p", "h2"):
         with pytest.raises(ValueError):
             inhom_contribution(8, ETA, observable)

@@ -114,7 +114,49 @@ def test_point_key_format_is_pinned(monkeypatch):
     monkeypatch.setattr(runner, "_source_digest", lambda: "0" * 64)
     params = {"eta": 2.0, "N": 4, "boundary": "antiperiodic", "seed": 0}
     assert runner._point_key("EdSpectrum", params) == "6ac696a1e384ab0e2353"
-    assert runner._point_key("Thermo", {"eta": 0.1, "seed": 0}) == "89c6decbccf31d26c332"
+    assert runner._point_key("Thermo", {"eta": 0.1}) == "6501fe0c59b57cc766ac"
+
+
+# the inputs each experiment reads: the parameters of its body
+EXPERIMENT_INPUTS = {
+    "EdSpectrum": ["eta", "N", "boundary", "seed"],
+    "GapScan": ["eta", "N", "boundary", "seed"],
+    "SolveHom": ["eta", "N", "boundary"],
+    "SolveInhom": ["eta", "N", "seed"],
+    "EinhScan": ["eta", "N", "seed"],
+    "BoundaryEnergyScan": ["eta", "N", "seed"],
+    "ChargeScan": ["eta", "N", "seed"],
+    "Thermo": ["eta"],
+}
+
+
+@pytest.mark.parametrize("experiment", EXPERIMENTS)
+def test_record_params_are_the_inputs_the_body_reads(tmp_path, experiment):
+    assert list(runner.inputs(experiment)) == EXPERIMENT_INPUTS[experiment]
+    records = run(_cfg(tmp_path, experiment=experiment, eta=[2.0, 3.0], N_list=[4]))
+    assert [r.status for r in records] == ["ok", "ok"]
+    for record, eta in zip(records, (2.0, 3.0)):
+        assert list(record.params) == EXPERIMENT_INPUTS[experiment]
+        assert record.params["eta"] == eta
+    assert len(list((tmp_path / "cache").glob("*.json"))) == 2
+
+
+def test_unread_inputs_are_refused(tmp_path, capsys):
+    out = str(tmp_path)
+    for argv in (["EinhScan", "--boundary", "per", "--n", "4"],
+                 ["Thermo", "--n", "4"],
+                 ["SolveHom", "--seed", "1", "--n", "4"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", out])
+        assert exc.value.code == 2
+    cfile = tmp_path / "cfg.json"
+    cfile.write_text(json.dumps({"experiment": "EinhScan", "N_list": [4],
+                                 "boundary": "periodic"}))
+    assert main(["EinhScan", "--config", str(cfile), "--out", out]) == 2
+    assert "EinhScan reads no config keys ['boundary']" in capsys.readouterr().err
+    with pytest.raises(ConfigError):
+        ExperimentConfig.from_dict({"experiment": "Thermo", "N_list": [4]})
+    assert not (tmp_path / "cache").exists()   # nothing ran
 
 
 def test_corrupt_cache_recomputed(tmp_path):
@@ -325,6 +367,45 @@ def test_cli_spellings_parse_through_the_library(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["kind"] == "power"
 
 
+def test_cli_experiment_names_in_any_letter_case(tmp_path, capsys):
+    for i, name in enumerate(("EDSPECTRUM", "edSpectrum", "edspectrum")):
+        out = tmp_path / str(i)
+        assert main([name, "--n", "4", "--out", str(out), "--formats", "csv"]) == 0
+        assert parse_csv(out / "edspectrum.csv")[0]["experiment"] == "EdSpectrum"
+    capsys.readouterr()
+
+
+def test_cli_verify_level_in_any_letter_case(capsys):
+    assert main(["verify", "--level", "FAST"]) == 0
+    assert "level=fast" in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--level", "quick"])
+    assert exc.value.code == 2
+
+
+def test_cli_config_file_names_the_subcommand(tmp_path, capsys):
+    cfile = tmp_path / "cfg.json"
+    out = str(tmp_path / "out")
+    cfile.write_text(json.dumps({"experiment": "EDSPECTRUM", "N_list": [4]}))
+    assert main(["gapscan", "--config", str(cfile), "--out", out]) == 2
+    assert "EDSPECTRUM" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert main(["edspectrum", "--config", str(cfile), "--out", out,
+                 "--formats", "csv"]) == 0
+    assert parse_csv(tmp_path / "out" / "edspectrum.csv")[0]["N"] == 4
+    capsys.readouterr()
+
+
+def test_cli_fit_has_no_size_column_flag(tmp_path, capsys):
+    # the sizes are always column N
+    path = tmp_path / "data.csv"
+    path.write_text("N,eta,value\n" + "".join(f"{n},{n / 10},{n ** -1.0}\n" for n in (4, 6, 8)))
+    with pytest.raises(SystemExit) as exc:
+        main(["fit", "--kind", "power", "--input", str(path), "--x", "eta", "--y", "value"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
+
 def test_cli_verify_fast(tmp_path, capsys):
     for level, passed in (("fast", "10/10"), ("full", "11/11")):
         assert main(["verify", "--level", level]) == 0
@@ -352,6 +433,13 @@ def _rotate_t0_phases(original):
         gs = original(*a, **k)
         return dataclasses.replace(gs, t0_eigenvalues=gs.t0_eigenvalues * cmath.exp(1e-8j))
     return ground_space
+
+
+def _shift_reduced_roots(original):
+    def solve_log_baes(*a, **k):
+        roots = original(*a, **k)
+        return dataclasses.replace(roots, x=roots.x + 1e-9)
+    return solve_log_baes
 
 
 def _negate_sector_eigenvalue(original):
@@ -405,6 +493,9 @@ PERTURBATIONS = [
     (check_exact_vs_band_edge, ((2.0, 3.0), range(8, 13, 2)),
      "ground sector eigenvalue * -1, twisted", model, "_symmetries",
      _negate_sector_eigenvalue),
+    # odd N: the reduced charges are computed from the roots, not assumed 0
+    (check_charges, ((), (5, 7)), "solve_log_baes roots + 1e-9", baes, "solve_log_baes",
+     _shift_reduced_roots),
 ]
 
 
