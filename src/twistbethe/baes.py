@@ -389,7 +389,9 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers) -> BetheRootsX:
     search halves it from there.  Newton stops at NEWTON_TOL or at 4 ulp
     of the equations' terms, about 2 pi (N + M), whichever is larger: past
     N ~ 1000 an absolute 1e-12 is below float64 resolution; it gives up
-    after NEWTON_MAX_ITER steps.  Errors carry the last iterate.
+    after NEWTON_MAX_ITER steps.  Errors carry the last iterate.  The
+    converged roots are folded into the window |x| <= pi/eta, and the
+    residual is evaluated again only when the fold moved a root.
 
     The interaction sums run over K Fourier modes of theta_2, K from
     `_mode_count(eta, M, N)`, when 2K+1 < M: a residual then costs
@@ -413,8 +415,10 @@ def solve_log_baes(eta: float, N: int, qn: QuantumNumbers) -> BetheRootsX:
     best = np.max(np.abs(F))
     for it in range(1, NEWTON_MAX_ITER + 1):
         if best < tol:
-            x = _fold_window(x, eta)
-            F, _ = _log_bae_residual(x, eta, N, twice_I, anti, K)
+            folded = _fold_window(x, eta)
+            if not np.array_equal(folded, x):
+                F, _ = _log_bae_residual(folded, eta, N, twice_I, anti, K)
+            x = folded
             res = float(np.max(np.abs(F)))
             if res > 10 * tol:
                 raise ConvergenceError("window folding moved roots off-branch",

@@ -14,7 +14,12 @@ regression in log space.  Offset kinds use variable projection (Golub &
 Pereyra, SIAM J. Numer. Anal. 10 (1973) 413): for a fixed exponent, ``a``
 and ``c`` solve a two-column linear least-squares problem, so only a 1-D
 search over the exponent remains, followed by one Levenberg-Marquardt
-polish of all three parameters.  ``extrapolate`` reads off the
+polish of all three parameters.  The search scores a coarse exponent grid
+in one array pass, by the closed form of the two-column problem, and
+refines the best grid point by bounded Brent through ``lstsq``; the
+refinement and the final linear coefficients keep ``lstsq``, so a fit is
+bit-identical to one whose grid is scored by ``lstsq`` as well whenever
+both pick the same grid point.  ``extrapolate`` reads off the
 N -> infinity asymptote of a converged fit.
 """
 
@@ -143,6 +148,24 @@ def _project(beta: float, t, vals):
     return float(r @ r), coef[0], coef[1]
 
 
+def _profile(t, vals):
+    """The residual sum of squares of ``_project`` at every exponent of
+    ``_BETA_GRID``, in one array pass: the centred closed form of the
+    two-column least-squares problem.  The column ``expm1(beta*t - max(beta,
+    0))`` spans what ``_project``'s exponential and constant columns span,
+    and keeps its relative precision as beta -> 0; at beta = 0 it vanishes,
+    A = 0, and the RSS is the constant fit's.  The residual is formed
+    before it is squared, so a near-exact fit keeps its small RSS instead
+    of the rounding of a difference of squares."""
+    col = np.expm1(np.multiply.outer(_BETA_GRID, t) - np.maximum(_BETA_GRID, 0.0)[:, None])
+    col -= col.mean(axis=1, keepdims=True)
+    v = vals - vals.mean()
+    norm = np.einsum("ij,ij->i", col, col)
+    A = np.divide(col @ v, norm, out=np.zeros_like(norm), where=norm > 0.0)
+    r = v - A[:, None] * col
+    return np.einsum("ij,ij->i", r, r)
+
+
 # Module-level forwarders, looked up by name on every call so a tracer can
 # patch them; each imports scipy.optimize on first use (~0.2 s of start-up).
 def least_squares(*args, **kwargs):
@@ -158,14 +181,19 @@ def minimize_scalar(*args, **kwargs):
 def _fit_offset(kind: str, Ns, vals):
     """Variable projection: a and c are linear once b is fixed, so only the
     exponent is searched, as ``beta = b * (x_max - x_min)``: the best point
-    of a coarse grid, refined by bounded Brent, then one Levenberg-Marquardt
-    polish of all three parameters."""
+    of a coarse grid, scored in one pass by `_profile`, refined by bounded
+    Brent on `_project`, then one Levenberg-Marquardt polish of all three
+    parameters.  Brent and the start (A, c) of the polish use `_project`'s
+    ``lstsq``, so the fit is bit-identical to one that scores the grid by
+    `_project` too whenever both pick the same grid point.  They can differ
+    only where the profile is flat to the rounding of the data, where
+    either pick is as good as rounding can tell."""
     if np.ptp(vals) == 0.0:
         raise ValueError("constant data leaves the law parameters undetermined")
     x = _abscissa(kind, Ns)
     span = x[-1] - x[0]
     t = (x - x[0]) / span
-    i = int(np.argmin([_project(beta, t, vals)[0] for beta in _BETA_GRID]))
+    i = int(np.argmin(_profile(t, vals)))
     lo, hi = _BETA_GRID[max(i - 1, 0)], _BETA_GRID[min(i + 1, _BETA_GRID.size - 1)]
     beta = minimize_scalar(lambda v: _project(v, t, vals)[0], bounds=(lo, hi),
                            method="bounded", options={"xatol": 1e-10}).x

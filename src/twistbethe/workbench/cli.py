@@ -45,9 +45,12 @@ def _parse_n_list(text: str) -> list[int]:
             raise ConfigError(f"bad N range: {text!r}")
         return list(range(lo, hi + 1, step))
     try:
-        return [int(part) for part in text.split(",") if part.strip()]
+        vals = [int(part) for part in text.split(",") if part.strip()]
     except ValueError:
         raise ConfigError(f"bad N list: {text!r}") from None
+    if not vals:
+        raise ConfigError("empty N list")
+    return vals
 
 
 def _parse_eta(text: str):
@@ -121,8 +124,8 @@ def _cmd_experiment(args) -> int:
         raise ConfigError(f"config file names {file_data['experiment']!r}, not {args.command}")
     given = {name: getattr(args, name) for name in inputs(args.command)}
     for name, parse in (("eta", _parse_eta), ("N", _parse_n_list)):
-        if name in given:
-            given[name] = parse(given[name]) if given[name] else None
+        if given.get(name) is not None:
+            given[name] = parse(given[name])
     overrides = {"experiment": args.command, "output_dir": args.out,
                  **{INPUT_FIELDS[name]: value for name, value in given.items()}}
     config = ExperimentConfig.from_dict(file_data, overrides)

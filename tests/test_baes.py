@@ -1,5 +1,6 @@
 """Reduced (homogeneous) Bethe equations: kernels, quantum numbers, roots."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -260,6 +261,60 @@ def test_solver_convergence_error_carries_iterate(monkeypatch):
         solve_log_baes(ETA, 8, qn)
     assert err.value.iterate is not None
     assert len(err.value.iterate) == qn.M
+
+
+def _spy_residual(monkeypatch):
+    """Record the x of every `_log_bae_residual` call."""
+    seen = []
+    residual = baes._log_bae_residual
+    monkeypatch.setattr(baes, "_log_bae_residual",
+                        lambda x, *args: seen.append(np.array(x)) or residual(x, *args))
+    return seen
+
+
+# (eta, N, boundary) -> sha256 of the roots' bytes (16 hex digits) and the
+# residual's float.hex: pairwise sums, and K Fourier modes on both boundaries
+_SOLVE_PINS = {
+    (3.0, 9, "anti"): ("9a09fd41876a1a59", "0x1.8000000000000p-49"),
+    (2.0, 60, "per"): ("4b8b1a21ed113a66", "0x1.e000000000000p-43"),
+    (1.0, 700, "anti"): ("2ee954cfa2b13d30", "0x1.4000000000000p-41"),
+    (2.0, 1201, "per"): ("18f277234502014b", "0x1.8000000000000p-41"),
+}
+
+
+@pytest.mark.parametrize("eta, N, boundary", list(_SOLVE_PINS), ids=str)
+def test_fold_that_moves_no_root_keeps_the_residual(monkeypatch, eta, N, boundary):
+    # the converged roots already sit in the window: the fold moves none,
+    # and the residual in hand is the one returned, bit for bit
+    seen = _spy_residual(monkeypatch)
+    roots = solve_log_baes(eta, N, ground_quantum_numbers(N, boundary))
+    assert not any(np.array_equal(a, b) for a, b in zip(seen, seen[1:]))
+    assert np.array_equal(roots.x, seen[-1])
+    digest = hashlib.sha256(roots.x.tobytes()).hexdigest()[:16]
+    assert (digest, roots.residual.hex()) == _SOLVE_PINS[(eta, N, boundary)]
+
+
+def test_fold_that_moves_a_root_reevaluates_the_residual(monkeypatch):
+    # a fold that shifts one root by a full period puts it on another
+    # branch of the equations: the residual is evaluated again at the
+    # folded roots, and the solve refuses them
+    period = 2.0 * math.pi / ETA
+    fold = baes._fold_window
+
+    def shifted(x, eta):
+        out = fold(x, eta)
+        out[0] += period
+        return out
+
+    monkeypatch.setattr(baes, "_fold_window", shifted)
+    seen = _spy_residual(monkeypatch)
+    with pytest.raises(ConvergenceError, match="off-branch") as err:
+        solve_log_baes(ETA, 60, ground_quantum_numbers(60, Boundary.PERIODIC))
+    folded = err.value.iterate
+    assert np.array_equal(seen[-1], folded)
+    assert folded[0] == seen[-2][0] + period
+    np.testing.assert_array_equal(folded[1:], seen[-2][1:])
+    assert err.value.residual > 1.0
 
 
 def test_roots_symmetric_for_symmetric_quantum_numbers():

@@ -1,9 +1,12 @@
 """Finite-size fit laws: recovery, equivariance, windowing, error paths."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from twistbethe import baes, scaling
 from twistbethe.scaling import (
     FitError,
     FitResult,
@@ -63,6 +66,72 @@ def test_offset_law_recovery(kind, a, b, c, ns):
     assert r.c == pytest.approx(c, abs=1e-8)
     if b < 0:
         assert extrapolate(r) == r.c
+
+
+def _large_n_data(eta, ns):
+    """E_anti - E_per of the reduced log-BAE ground states: the data of the
+    large-N boundary-energy fits."""
+    def energy(N, boundary):
+        qn = baes.ground_quantum_numbers(N, boundary)
+        return baes.energy_hom(baes.solve_log_baes(eta, N, qn))
+    ns = np.asarray(ns, dtype=float)
+    return ns, np.array([energy(int(N), "anti") - energy(int(N), "per") for N in ns])
+
+
+def _profile_cases():
+    for name, (kind, a, b, c, ns) in _OFFSET_LAWS.items():
+        x = np.log(ns) if kind.startswith("power") else ns
+        yield name, kind, ns, a * np.exp(b * x) + c
+    yield "large-n-eta2", "power-offset", *_large_n_data(
+        2.0, (100, 150, 200, 300, 400, 600, 800, 1200, 1600))
+    yield "large-n-eta1", "power-offset", *_large_n_data(1.0, (700, 1000, 1300, 1600))
+
+
+def _unit_abscissa(kind, ns):
+    x = scaling._abscissa(kind, ns)
+    return (x - x[0]) / (x[-1] - x[0])
+
+
+def test_grid_profile_matches_scalar_loop():
+    """The one-pass profile of the exponent grid against `_project` at each
+    grid point: the same best point, and the same RSS up to the rounding of
+    a residual vector of a few ulps of the data, u = eps max|v| sqrt(n),
+    i.e. |dRSS| <~ u (2 sqrt(RSS) + u).  On noisy data whose profile is flat
+    to that rounding the two may pick different points, each one as good
+    as rounding can tell: 22 of 3000 random noisy 8-point fits did, all
+    within that bound, all at the steep-decay end of the grid."""
+    for name, kind, ns, vals in _profile_cases():
+        t = _unit_abscissa(kind, ns)
+        loop = np.array([scaling._project(beta, t, vals)[0] for beta in scaling._BETA_GRID])
+        profile = scaling._profile(t, vals)
+        assert np.argmin(profile) == np.argmin(loop), name
+        u = np.finfo(float).eps * np.max(np.abs(vals)) * np.sqrt(len(vals))
+        assert np.all(np.abs(profile - loop) <= 4 * u * (2 * np.sqrt(loop) + u)), name
+
+
+def test_grid_profile_at_zero_exponent_is_the_constant_fit():
+    # beta = 0 makes the exponential column constant: A = 0, and the RSS is
+    # that of the constant fit, with no 0/0
+    vals = 1.4 * NS ** -1.1 + 0.2
+    i0 = int(np.flatnonzero(scaling._BETA_GRID == 0.0)[0])
+    with warnings.catch_warnings(), np.errstate(all="raise"):
+        warnings.simplefilter("error")
+        rss = scaling._profile(_unit_abscissa("power-offset", NS), vals)[i0]
+    assert np.isfinite(rss)
+    assert rss == pytest.approx(np.sum((vals - vals.mean()) ** 2), rel=1e-14)
+
+
+@pytest.mark.parametrize("kind, a, b, c, ns", list(_OFFSET_LAWS.values()),
+                         ids=list(_OFFSET_LAWS))
+def test_offset_fit_projects_only_for_the_refinement(monkeypatch, kind, a, b, c, ns):
+    # the grid makes no _project call: what is left is the bounded Brent
+    # refinement and the final (A, c), at most 11 calls on these laws
+    calls = []
+    project = scaling._project
+    monkeypatch.setattr(scaling, "_project", lambda *args: calls.append(args) or project(*args))
+    x = np.log(ns) if kind.startswith("power") else ns
+    fit(kind, [(int(n), float(v)) for n, v in zip(ns, a * np.exp(b * x) + c)])
+    assert 0 < len(calls) <= 11
 
 
 def test_exp_recovery():

@@ -396,6 +396,17 @@ def test_cli_config_file_names_the_subcommand(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flags", [["--n", ""], ["--n", ","], ["--n", " "],
+                                   ["--eta", ""], ["--eta", ","]],
+                         ids=["n-empty", "n-comma", "n-blank", "eta-empty", "eta-comma"])
+def test_cli_refuses_empty_lists(tmp_path, capsys, flags):
+    # an empty list is refused, not read as an absent flag and its default
+    out = tmp_path / "out"
+    assert main(["EdSpectrum", *flags, "--out", str(out)]) == 2
+    assert "empty" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_fit_has_no_size_column_flag(tmp_path, capsys):
     # the sizes are always column N
     path = tmp_path / "data.csv"
