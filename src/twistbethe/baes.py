@@ -322,15 +322,25 @@ def counting_function(x, roots: "BetheRootsX"):
 
 def hole_rapidity(roots: BetheRootsX, twice_I_hole: int) -> float:
     """Position x0 of the hole with quantum number 2I: the counting-function
-    preimage of I/N inside the fundamental window."""
-    # Imported here: scipy.optimize costs ~0.2 s of start-up that ED runs never use.
-    from scipy.optimize import brentq
-    eta = roots.eta
-    target = twice_I_hole / (2.0 * roots.qn.N)
-    lo, hi = -math.pi / eta, math.pi / eta
+    preimage of I/N inside the fundamental window, by
+    `thermo.bracketed_newton` from the chord through the window's ends.
+    The slope is the counting-function density
+    a_1(x) [+ eta/(2 pi N)] - sum_k a_2(x - x_k)/N, the solved roots as
+    sources."""
+    eta, N = roots.eta, roots.qn.N
+    target = twice_I_hole / (2.0 * N)
+    edge = math.pi / eta
     theta2_sum = _Theta2Sum(roots.x, eta, roots.modes)   # the sources stay fixed
-    f = lambda x: _counting(x, roots, theta2_sum) - target
-    return float(brentq(f, lo, hi, xtol=1e-14))
+    drift = eta / (2.0 * math.pi * N) if roots.qn.boundary is Boundary.ANTIPERIODIC else 0.0
+
+    def g(x):
+        density = (_thermo.kernel_a(1, x, eta) + drift
+                   - _thermo.kernel_a(2, x - roots.x, eta).sum() / N)
+        return _counting(x, roots, theta2_sum) - target, density
+
+    z_lo, z_hi = _counting(np.array([-edge, edge]), roots, theta2_sum)
+    start = -edge + 2.0 * edge * (target - z_lo) / (z_hi - z_lo)
+    return float(_thermo.bracketed_newton(g, -edge, edge, start, 1e-9 * edge))
 
 
 def _bulk_seed(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.ndarray:
@@ -344,36 +354,26 @@ def _bulk_seed(eta: float, N: int, twice_I: np.ndarray, anti: bool) -> np.ndarra
     stay strictly inside, where the preimage of I/N would sit on the
     window's edge.
 
-    Newton from the linear interpolation of the seed function on 65
-    points across the window (at eta <= 1 that start halves the
-    evaluations a chord through the window's ends needs), each root kept
-    in a bracket that every evaluation narrows; a step that leaves the
-    bracket is replaced by its midpoint.  Stops after a step in which no
-    root moved by more than 1e-9 of the window's half-width: Newton's
-    quadratic convergence leaves that iterate at float resolution, which
-    where Z is flat (rho_inf small, near the edges at small eta) is
-    itself wider than an ulp of the window edge."""
+    `thermo.bracketed_newton` from the linear interpolation of the seed
+    function on 65 points across the window (at eta <= 1 that start halves
+    the evaluations a chord through the window's ends needs), until a step
+    in which no root moved by more than 1e-9 of the window's half-width:
+    Newton's quadratic convergence leaves that iterate at float resolution,
+    which where Z is flat (rho_inf small, near the edges at small eta) is
+    itself wider than an ulp of the window edge.  rho_inf underflows to 0
+    near the edges at small eta; the bracket then replaces the infinite
+    step."""
     target = twice_I / (2.0 * (N + 1))
     drift = eta / (2.0 * math.pi * N) if anti else 0.0
     edge = math.pi / eta
-    lo, hi = np.full(len(target), -edge), np.full(len(target), edge)
     grid = np.linspace(-edge, edge, 65)
     x = np.interp(target, _thermo.bulk_counting(grid, eta)[0] + drift * grid, grid)
-    for _ in range(100):
+
+    def g(x):
         z, rho = _thermo.bulk_counting(x, eta)
-        g = z + drift * x - target
-        lo = np.where(g < 0, x, lo)
-        hi = np.where(g < 0, hi, x)
-        # rho underflows to 0 near the edges at small eta; the bracket
-        # replaces the infinite step
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xn = x - g / (rho + drift)
-        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
-        moved = np.max(np.abs(xn - x))
-        x = xn
-        if moved <= 1e-9 * edge:
-            break
-    return x
+        return z + drift * x - target, rho + drift
+
+    return _thermo.bracketed_newton(g, -edge, edge, x, 1e-9 * edge)
 
 
 def solve_log_baes(eta: float, N: int, qn: QuantumNumbers) -> BetheRootsX:

@@ -53,6 +53,10 @@ sector, stays on its parity blocks.  The iterative solvers carry ED to N =
 ITERATIVE_MAX = 20; H and H2 are refused above it.  A dense 2^N matrix
 is derived on demand only for N <= 12, a size chosen for 5 GB class
 hardware.
+
+scipy is imported inside the functions that build a sparse matrix or
+solve one, on first use, so a process that runs no ED or transfer
+matrix never loads it.
 """
 
 from __future__ import annotations
@@ -62,9 +66,6 @@ import cmath
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .common import Boundary
 
@@ -136,6 +137,7 @@ class ChainOperator:
         return self._dense
 
     def as_scipy(self):
+        import scipy.sparse.linalg as spla
         return spla.LinearOperator((self.dim, self.dim), matvec=self.matvec,
                                    dtype=self.dtype)
 
@@ -217,6 +219,7 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
     every operator built here feeds ED, which stops there."""
     if N > ITERATIVE_MAX:
         raise ValueError(f"N={N} exceeds the ED limit N <= {ITERATIVE_MAX}")
+    import scipy.sparse
     half = 1 << (N - 1)
     by_flip = {}
     for coeff, ops in terms:
@@ -270,7 +273,7 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
             indices[at] = cols[nz]
             data[at] = amp[nz]
             fill[nz] += 1
-        matrix = sp.csr_matrix((data, indices, indptr), shape=(len(rows),) * 2)
+        matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(rows),) * 2)
         # entries (r, r') reached through several states of the orbit of r'
         matrix.sum_duplicates()
         return matrix
@@ -379,11 +382,13 @@ def build_momentum_charge(params: ModelParams) -> ChainOperator:
     t(0)^{2N} = 1 exactly."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("momentum charge is defined for the antiperiodic chain")
+    import scipy.sparse
     t0, _ = _symmetries(params)
     dim = 1 << params.N
     # column s holds one 1, in row t0(s)
     columns = np.arange(dim + 1, dtype=np.int32)
-    matrix = sp.csc_matrix((np.ones(dim), t0(columns[:-1]), columns), shape=(dim, dim))
+    matrix = scipy.sparse.csc_matrix((np.ones(dim), t0(columns[:-1]), columns),
+                                     shape=(dim, dim))
     return ChainOperator(params.N, matrix.tocsr())
 
 
@@ -539,6 +544,7 @@ def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
     BLAS (zdotc and dznrm2 on complex blocks): mixing in numpy's, which
     may be a different library with its own thread pool, wakes two
     pools on every step."""
+    import scipy.linalg
     dtype = np.result_type(op.dtype, np.float64)
     axpy, dot, nrm2 = scipy.linalg.get_blas_funcs(("axpy", "dot", "nrm2"), dtype=dtype)
     alphas, betas = np.empty(LANCZOS_MAX_STEPS), np.empty(LANCZOS_MAX_STEPS)
@@ -581,6 +587,8 @@ def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
     without `vectors` (the vectors come back None), ARPACK for the rest.
     The iterative solvers apply the block through `matvec`, from a start
     vector drawn from `seed`."""
+    import scipy.linalg
+    import scipy.sparse.linalg
     dim = block.shape[0]
     if (method == "dense" or dim <= max(2 * k + 1, 20)
             or (method is None and dim <= DENSE_SECTOR_MAX)):
@@ -593,7 +601,7 @@ def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
     block_op = ChainOperator(n_sites, block)
     if k == 1 and not vectors:
         return np.array([_lanczos_lowest(block_op, v0)]), None, "iterative"
-    vals, vecs = spla.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
+    vals, vecs = scipy.sparse.linalg.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order], "iterative"
 

@@ -19,8 +19,10 @@ in one array pass, by the closed form of the two-column problem, and
 refines the best grid point by bounded Brent through ``lstsq``; the
 refinement and the final linear coefficients keep ``lstsq``, so a fit is
 bit-identical to one whose grid is scored by ``lstsq`` as well whenever
-both pick the same grid point.  ``extrapolate`` reads off the
-N -> infinity asymptote of a converged fit.
+both pick the same grid point.  Brent (`_bounded_brent`) and the
+Levenberg-Marquardt polish (`least_squares`) are written here, so a fit
+loads no scipy.  ``extrapolate`` reads off the N -> infinity asymptote of
+a converged fit.
 """
 
 from __future__ import annotations
@@ -166,28 +168,221 @@ def _profile(t, vals):
     return np.einsum("ij,ij->i", r, r)
 
 
-# Module-level forwarders, looked up by name on every call so a tracer can
-# patch them; each imports scipy.optimize on first use (~0.2 s of start-up).
-def least_squares(*args, **kwargs):
-    from scipy.optimize import least_squares
-    return least_squares(*args, **kwargs)
+def _bounded_brent(f, lo: float, hi: float, xatol: float) -> float:
+    """Minimiser of f on [lo, hi] by Brent's method, golden sections and
+    parabolic steps (Brent, Algorithms for Minimization without
+    Derivatives, 1973, ch. 5), step for step as scipy's bounded
+    `minimize_scalar` (`fminbound`), with the same stop: the best point
+    lies within 2 tol of the bracket's midpoint, tol = sqrt(2.2e-16) |x| +
+    xatol/3.  At most 500 evaluations."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    # x the best point so far, w the second best, v the previous w
+    x = w = v = a + golden * (b - a)
+    fx = fw = fv = f(x)
+    step = d = 0.0
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(x) + xatol / 3.0
+    tol2 = 2.0 * tol1
+    for _ in range(499):
+        if abs(x - xm) <= tol2 - 0.5 * (b - a):
+            break
+        parabolic = False
+        if abs(step) > tol1:
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r, step = step, d
+            if abs(p) < abs(0.5 * q * r) and q * (a - x) < p < q * (b - x):
+                parabolic = True
+                d = (p + 0.0) / q
+                u = x + d
+                if (u - a) < tol2 or (b - u) < tol2:
+                    d = tol1 if xm >= x else -tol1
+        if not parabolic:
+            step = (a - x) if x >= xm else (b - x)
+            d = golden * step
+        u = x + (-1.0 if d < 0 else 1.0) * max(abs(d), tol1)
+        fu = f(u)
+        if fu <= fx:
+            if u >= x:
+                a = x
+            else:
+                b = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu <= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu <= fv or v == x or v == w:
+                v, fv = u, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(x) + xatol / 3.0
+        tol2 = 2.0 * tol1
+    return x
 
 
-def minimize_scalar(*args, **kwargs):
-    from scipy.optimize import minimize_scalar
-    return minimize_scalar(*args, **kwargs)
+@dataclass(frozen=True)
+class LeastSquaresResult:
+    """Outcome of `least_squares`: the last accepted point, the number of
+    residual evaluations, and whether a convergence test stopped it."""
+
+    x: np.ndarray
+    nfev: int
+    success: bool
+    message: str
+
+
+# an eigenvalue of the scaled normal matrix at or below this share of the
+# largest is rounding, and counts as 0
+_RANK_CUT = 3.0 * np.finfo(float).eps
+
+
+def _eigen_step(s, c, par: float):
+    """Eigen-components of the scaled LM step -(V diag(s) V^T + par)^-1 V c,
+    s ascending.  At par = 0 it is the Gauss-Newton step on the numerical
+    range: the components of eigenvalues below `_RANK_CUT` are dropped."""
+    if par > 0.0:
+        return -c / (s + par)
+    return -c / np.where(s > _RANK_CUT * s[-1], s, np.inf)
+
+
+def _lm_parameter(s, c, delta: float, par: float) -> float:
+    """The LM parameter of Moré's lmpar, for the scaled normal matrix
+    V diag(s) V^T and scaled gradient V c: 0 when the Gauss-Newton step
+    fits in the trust radius delta (within 10%), else a par whose step
+    length lies within 10% of delta, by Newton on 1/||step|| (Hebden),
+    safeguarded to [parl, paru] and started from the previous ``par``, at
+    most 10 steps."""
+    z = _eigen_step(s, c, 0.0)
+    dxnorm = math.sqrt(z @ z)
+    fp = dxnorm - delta
+    if fp <= 0.1 * delta:
+        return 0.0
+    # Newton's correction from the step z at par: (fp/delta) ||z||^2 / z^T (A + par)^-1 z
+    full_rank = s[0] > _RANK_CUT * s[-1]
+    parl = fp / delta * dxnorm ** 2 / float(z @ (z / s)) if full_rank else 0.0
+    gnorm = math.sqrt(c @ c)
+    paru = gnorm / delta or np.finfo(float).tiny / min(delta, 0.1)
+    par = min(max(par, parl), paru) or gnorm / dxnorm
+    for step in range(10):
+        if par == 0.0:
+            par = max(np.finfo(float).tiny, 0.001 * paru)
+        z = _eigen_step(s, c, par)
+        dxnorm = math.sqrt(z @ z)
+        previous, fp = fp, dxnorm - delta
+        if abs(fp) <= 0.1 * delta or (parl == 0.0 and fp <= previous < 0.0) or step == 9:
+            break
+        parc = fp / delta * dxnorm ** 2 / float(z @ (z / (s + par)))
+        if fp > 0.0:
+            parl = max(parl, par)
+        elif fp < 0.0:
+            paru = min(paru, par)
+        par = max(parl, par + parc)
+    return par
+
+
+def least_squares(fun, jac, x0, *, ftol: float, xtol: float, gtol: float,
+                  max_nfev: int) -> LeastSquaresResult:
+    """Minimise ||fun(x)|| over a few parameters by Levenberg-Marquardt in
+    the trust-region form of MINPACK's lmder (Moré, The Levenberg-Marquardt
+    algorithm: implementation and theory, LNM 630, 1978), with the
+    analytic Jacobian ``jac(x)``.  As in lmder: the variables are scaled by
+    the largest column norms of the Jacobian seen so far, the trust radius
+    and the LM parameter are updated by its rules, a step is kept when it
+    achieves at least 1e-4 of its predicted reduction, and it stops on
+    ``ftol`` (actual and predicted relative reductions of the sum of
+    squares), ``xtol`` (trust radius relative to the scaled point),
+    ``gtol`` (cosine between the residual and every Jacobian column) or
+    ``max_nfev`` residual evaluations, the last a failure.  The scaled
+    normal matrix of each Jacobian is diagonalised once, so the step of
+    any LM parameter is a closed form.  `_fit_offset` looks it up by name
+    at call time, so a tracer can wrap it; ``nfev`` counts residual
+    evaluations."""
+    x = np.asarray(x0, dtype=float)
+    f = fun(x)
+    nfev, fnorm = 1, float(np.linalg.norm(f))
+    accepted = False
+    par = 0.0
+    while True:
+        J = jac(x)
+        colnorm = np.linalg.norm(J, axis=0)
+        if not accepted:
+            diag = np.where(colnorm > 0.0, colnorm, 1.0)
+            xnorm = float(np.linalg.norm(diag * x))
+            delta = 100.0 * xnorm or 100.0
+        grad = J.T @ f
+        live = colnorm > 0.0
+        if fnorm == 0.0 or np.max(np.abs(grad[live]) / (fnorm * colnorm[live]),
+                                  initial=0.0) <= gtol:
+            return LeastSquaresResult(x, nfev, True, "gtol condition satisfied")
+        diag = np.maximum(diag, colnorm)
+        Js = J / diag
+        s, V = np.linalg.eigh(Js.T @ Js)
+        c = V.T @ (grad / diag)
+        while True:
+            par = _lm_parameter(s, c, delta, par)
+            z = V @ _eigen_step(s, c, par)
+            pnorm = float(np.linalg.norm(z))
+            if not accepted:
+                delta = min(delta, pnorm)
+            x_new = x + z / diag
+            f_new = fun(x_new)
+            nfev += 1
+            fnorm1 = float(np.linalg.norm(f_new))
+            actred = 1.0 - (fnorm1 / fnorm) ** 2 if 0.1 * fnorm1 < fnorm else -1.0
+            temp1 = float(np.linalg.norm(Js @ z)) / fnorm
+            temp2 = math.sqrt(par) * pnorm / fnorm
+            prered = temp1 ** 2 + temp2 ** 2 / 0.5
+            dirder = -(temp1 ** 2 + temp2 ** 2)
+            ratio = actred / prered if prered != 0.0 else 0.0
+            if ratio <= 0.25:
+                temp = 0.5 if actred >= 0.0 else 0.5 * dirder / (dirder + 0.5 * actred)
+                if 0.1 * fnorm1 >= fnorm or temp < 0.1:
+                    temp = 0.1
+                delta = temp * min(delta, pnorm / 0.1)
+                par = par / temp
+            elif par == 0.0 or ratio >= 0.75:
+                delta = pnorm / 0.5
+                par = 0.5 * par
+            if ratio >= 1e-4:
+                x, f, fnorm = x_new, f_new, fnorm1
+                xnorm = float(np.linalg.norm(diag * x))
+                accepted = True
+            if abs(actred) <= ftol and prered <= ftol and 0.5 * ratio <= 1.0:
+                return LeastSquaresResult(x, nfev, True, "ftol condition satisfied")
+            if delta <= xtol * xnorm:
+                return LeastSquaresResult(x, nfev, True, "xtol condition satisfied")
+            if nfev >= max_nfev:
+                return LeastSquaresResult(x, nfev, False,
+                                          f"{max_nfev} residual evaluations exceeded")
+            if ratio >= 1e-4:
+                break
 
 
 def _fit_offset(kind: str, Ns, vals):
     """Variable projection: a and c are linear once b is fixed, so only the
     exponent is searched, as ``beta = b * (x_max - x_min)``: the best point
-    of a coarse grid, scored in one pass by `_profile`, refined by bounded
-    Brent on `_project`, then one Levenberg-Marquardt polish of all three
-    parameters.  Brent and the start (A, c) of the polish use `_project`'s
-    ``lstsq``, so the fit is bit-identical to one that scores the grid by
-    `_project` too whenever both pick the same grid point.  They can differ
-    only where the profile is flat to the rounding of the data, where
-    either pick is as good as rounding can tell."""
+    of a coarse grid, scored in one pass by `_profile`, refined by the
+    bounded Brent of `_bounded_brent` on `_project` (to xatol = 1e-10),
+    then one polish of all three parameters by the Levenberg-Marquardt of
+    `least_squares`, with the analytic Jacobian [e, A (x - x_ref) e, 1],
+    started from the projected point.  Brent does not pin the exponent of
+    an exact law to rounding; the polish does.  Brent and the start
+    (A, c) of the polish use `_project`'s ``lstsq``, so the fit is
+    bit-identical to one that scores the grid by `_project` too whenever
+    both pick the same grid point.  They can differ only where the
+    profile is flat to the rounding of the data, where either pick is as
+    good as rounding can tell.  A polish that stops on its evaluation cap,
+    or at a non-finite point, raises FitError with its last iterate."""
     if np.ptp(vals) == 0.0:
         raise ValueError("constant data leaves the law parameters undetermined")
     x = _abscissa(kind, Ns)
@@ -195,19 +390,22 @@ def _fit_offset(kind: str, Ns, vals):
     t = (x - x[0]) / span
     i = int(np.argmin(_profile(t, vals)))
     lo, hi = _BETA_GRID[max(i - 1, 0)], _BETA_GRID[min(i + 1, _BETA_GRID.size - 1)]
-    beta = minimize_scalar(lambda v: _project(v, t, vals)[0], bounds=(lo, hi),
-                           method="bounded", options={"xatol": 1e-10}).x
+    beta = _bounded_brent(lambda v: _project(v, t, vals)[0], lo, hi, xatol=1e-10)
     _, A, c = _project(beta, t, vals)
     # A*exp(beta*t - max(beta, 0)) == A*exp(b*(x - x_ref)), b = beta/span
     x_ref = x[-1] if beta > 0 else x[0]
+    dx = x - x_ref
 
     def fun(p):
-        return p[0] * np.exp(p[1] * (x - x_ref)) + p[2] - vals
+        return p[0] * np.exp(p[1] * dx) + p[2] - vals
+
+    def jac(p):
+        e = np.exp(p[1] * dx)
+        return np.column_stack([e, p[0] * dx * e, np.ones_like(e)])
 
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = least_squares(fun, x0=[A, beta / span, c], method="lm",
-                            xtol=1e-15, ftol=1e-15, gtol=1e-15,
-                            max_nfev=20000)
+        sol = least_squares(fun, jac, [A, beta / span, c], xtol=1e-15, ftol=1e-15,
+                            gtol=1e-15, max_nfev=20000)
     if not (sol.success and np.all(np.isfinite(sol.x))):
         raise FitError(f"offset fit stalled: {sol.message}",
                        iterate=tuple(sol.x))

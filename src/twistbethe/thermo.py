@@ -19,6 +19,7 @@ envelopes are e^{-2 eta k} or sech(eta k), so a series ends after about
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -216,10 +217,28 @@ def bulk_counting(x, eta: float):
     return (z, rho) if x.ndim else (float(z), float(rho))
 
 
-def _edge_count(delta: float, eta: float) -> float:
-    """2 pi [Z(pi/eta) - Z(pi/eta - delta)] for the bulk counting function
-    Z of `bulk_counting`, which reads 1/4 at pi/eta."""
-    return 2.0 * math.pi * (0.25 - bulk_counting(math.pi / eta - delta, eta)[0])
+def bracketed_newton(fun, lo, hi, x, xtol: float):
+    """Newton on an increasing function g, for a number or an array of
+    independent equations: ``fun(x)`` returns ``(g, dg/dx)``, and each x
+    starts inside its bracket [lo, hi], in which g changes sign.  Every
+    evaluation narrows the bracket, and a step that leaves it (a zero or
+    vanishing slope included) is replaced by the bracket's midpoint.  Stops
+    after a step in which no x moved by more than ``xtol``, or after 100
+    steps; Newton's quadratic convergence then leaves the iterate at float
+    resolution once xtol is well above it."""
+    lo, hi = np.broadcast_to(lo, np.shape(x)), np.broadcast_to(hi, np.shape(x))
+    for _ in range(100):
+        g, dg = fun(x)
+        lo = np.where(g < 0, x, lo)
+        hi = np.where(g < 0, hi, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            xn = x - g / dg
+        xn = np.where((lo <= xn) & (xn <= hi), xn, 0.5 * (lo + hi))
+        moved = np.max(np.abs(xn - x))
+        x = xn
+        if moved <= xtol:
+            break
+    return x
 
 
 def _slot_sum_decay_rate(eta: float) -> float:
@@ -250,6 +269,30 @@ def _hole_term_min_n(eta: float) -> int:
     return math.ceil((math.log(math.sinh(eta)) + _RANGE_EFOLDS) / _slot_sum_decay_rate(eta))
 
 
+@functools.lru_cache(maxsize=256)
+def _band_edge(eta: float) -> tuple[int, float, float]:
+    """What the hole term needs of eta alone, computed once per eta (for
+    the last 256 eta): the smallest admitted N, e_h(pi/eta) and
+    rho_inf(pi/eta)."""
+    edge = math.pi / eta
+    return _hole_term_min_n(eta), hole_energy(edge, eta), bulk_counting(edge, eta)[1]
+
+
+def _hole_offset(N: int, eta: float, drift: float) -> float:
+    """delta of the hole-quantization condition of `hole_quantization_energy`,
+    N [1/4 - Z(pi/eta - delta)] + drift delta = 1/4, by `bracketed_newton`
+    on [0, pi/eta] from the leading order 1/(4 N rho_inf(pi/eta)).  The
+    condition rises with slope N rho_inf(pi/eta - delta) + drift."""
+    edge = math.pi / eta
+
+    def condition(delta):
+        z, rho = bulk_counting(edge - delta, eta)
+        return N * (0.25 - z) + drift * delta - 0.25, N * rho + drift
+
+    start = 0.25 / (N * _band_edge(eta)[2])
+    return float(bracketed_newton(condition, 0.0, edge, start, 1e-9 * edge))
+
+
 def hole_quantization_energy(N: int, eta: float, boundary) -> float:
     """Finite-N energy of the ground-state hole above its band-edge value,
     e_h(x_h) - e_h(pi/eta); exactly 0.0 for the hole-free ground states
@@ -270,7 +313,9 @@ def hole_quantization_energy(N: int, eta: float, boundary) -> float:
     To leading order delta = 1/(4 N rho_inf(pi/eta)) and the term is
     e_h''(pi/eta) / (32 rho_inf(pi/eta)^2 N^2), about 39.10/N^2 at eta = 2;
     the drift moves the twisted hole by a further O(1/N^2), which the
-    condition keeps.  Nothing here is fitted and no roots are solved.
+    condition keeps.  delta is solved by the bracketed Newton of
+    `bracketed_newton` from that leading order (`_hole_offset`).  Nothing
+    here is fitted and no roots are solved.
 
     Range, where the term is good to 1e-5: ``ground_energy_tl +
     hole_quantization_energy`` matches the reduced-root energies of all four
@@ -284,11 +329,9 @@ def hole_quantization_energy(N: int, eta: float, boundary) -> float:
     that N, the worst deviation was 3e-8 for 0.8 <= eta <= 16 and 5e-7 (float
     rounding) at eta = 20.
     """
-    # Imported here: scipy.optimize costs ~0.2 s of start-up that ED runs never use.
-    from scipy.optimize import brentq
     _check_eta(eta)
     boundary = Boundary.coerce(boundary)
-    if eta > 20.0 or N < _hole_term_min_n(eta):
+    if eta > 20.0 or N < _band_edge(eta)[0]:
         raise ValueError(
             f"N={N}, eta={eta} outside the range of the hole-quantization "
             f"term (c(eta) N = {_slot_sum_decay_rate(eta) * N:.3g}, need eta <= 20 and "
@@ -296,13 +339,8 @@ def hole_quantization_energy(N: int, eta: float, boundary) -> float:
     if not has_hole(N, boundary):
         return 0.0
     drift = eta / (4.0 * math.pi) if boundary is Boundary.ANTIPERIODIC else 0.0
-
-    def condition(delta):
-        return N * _edge_count(delta, eta) / (2.0 * math.pi) + drift * delta - 0.25
-
-    edge = math.pi / eta
-    delta = brentq(condition, 0.0, edge, xtol=1e-15)
-    return hole_energy(edge - delta, eta) - hole_energy(edge, eta)
+    delta = _hole_offset(N, eta, drift)
+    return hole_energy(math.pi / eta - delta, eta) - _band_edge(eta)[1]
 
 
 def density_fourier(k: int, N: int, eta: float, boundary,

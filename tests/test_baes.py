@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from twistbethe import baes, thermo
 from twistbethe.baes import (
@@ -334,6 +335,20 @@ def test_hole_decomposition_with_actual_hole_position():
         eh = thermo.hole_energy(x0, ETA)
         assert energy_hom(roots) - N * e0 - eh == pytest.approx(0.0, abs=1e-10)
         assert abs(x0) < math.pi / ETA  # strictly inside the band
+
+
+def test_hole_rapidity_matches_brentq():
+    # the bracketed Newton against brentq on the same counting function:
+    # they differed by at most 6.2e-15 (eta 1, N 600), the rounding of the
+    # counting function over its slope near the band edge
+    for eta, N, boundary in ((ETA, 60, Boundary.ANTIPERIODIC), (ETA, 61, Boundary.PERIODIC),
+                             (1.0, 600, Boundary.ANTIPERIODIC)):
+        qn = ground_quantum_numbers(N, boundary)
+        roots = solve_log_baes(eta, N, qn)
+        twice_I = min(qn.twice_I) - 2
+        want = brentq(lambda x: counting_function(x, roots) - twice_I / (2.0 * N),
+                      -math.pi / eta, math.pi / eta, xtol=1e-15)
+        assert abs(hole_rapidity(roots, twice_I) - want) <= 2e-14
 
 
 def test_excited_sets_one_hole():

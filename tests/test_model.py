@@ -391,7 +391,7 @@ def test_ground_space_from_sector_by_arpack(N, monkeypatch):
         calls.append(A.shape[0])
         return eigsh(A, **kwargs)
 
-    monkeypatch.setattr(model.spla, "eigsh", counted_eigsh)
+    monkeypatch.setattr(spla, "eigsh", counted_eigsh)
     params = ModelParams(N, ETA, "anti")
     gs = ground_space(params)
     assert calls == [_sector_dim(N, "anti")]
@@ -618,7 +618,7 @@ def test_arpack_kept_for_several_levels_or_vectors(monkeypatch):
     def no_arpack(*args, **kwargs):
         raise _ArpackCalled
 
-    monkeypatch.setattr(model.spla, "eigsh", no_arpack)
+    monkeypatch.setattr(spla, "eigsh", no_arpack)
     for boundary in ("anti", "per"):
         H = build_hamiltonian(ModelParams(12, ETA, boundary))
         assert ed_spectrum(H, 1, method="iterative").method == "iterative"

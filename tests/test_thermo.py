@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from twistbethe import thermo
 from twistbethe.common import Boundary, Parity
 from twistbethe.thermo import (
     XXX_LIMIT,
@@ -210,6 +212,23 @@ def test_hole_quantization_energy_leading_order():
     for N, boundary in ((20000, Boundary.ANTIPERIODIC), (20001, Boundary.PERIODIC)):
         got = N ** 2 * hole_quantization_energy(N, eta, boundary)
         assert got == pytest.approx(coeff, rel=1e-3)
+
+
+@pytest.mark.parametrize("eta", [0.8, 1.0, 2.0, 3.0, 20.0])
+def test_hole_offset_matches_brentq(eta):
+    # the bracketed Newton's delta against brentq on the same condition, at
+    # the smallest admitted N and ten times it, on both chains: they
+    # differed by at most 4.9e-15 (eta 0.8, N = 1896, periodic), the
+    # rounding of the condition, N eps, over its slope N rho
+    edge = math.pi / eta
+    n0 = thermo._hole_term_min_n(eta)
+    for N in (n0, 10 * n0):
+        for drift in (0.0, eta / (4.0 * math.pi)):
+            def condition(delta):
+                return N * (0.25 - bulk_counting(edge - delta, eta)[0]) + drift * delta - 0.25
+
+            want = brentq(condition, 0.0, edge, xtol=1e-15)
+            assert abs(thermo._hole_offset(N, eta, drift) - want) <= 1e-14
 
 
 def test_hole_quantization_energy_refuses_outside_range():
