@@ -742,7 +742,7 @@ def charge_from_roots(order: str, roots) -> complex:
 # inhomogeneous contribution (reduced minus exact)
 
 
-def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
+def inhom_contribution(N: int, eta: float, observable: str):
     """Contribution of the inhomogeneous term to a ground-state observable:
     the reduced (homogeneous) value from the ground quantum numbers minus
     the exact value.
@@ -770,7 +770,7 @@ def inhom_contribution(N: int, eta: float, observable: str, *, seed: int = 0):
         e_hom = energy_hom(roots)
         params = ModelParams(N, eta, boundary)
         H = _model.build_hamiltonian(params)
-        spec = _model.ed_spectrum(H, 1, seed=seed)
+        spec = _model.ed_spectrum(H, 1)
         return float(e_hom - spec.eigenvalues[0])
 
     if key == "momentum":

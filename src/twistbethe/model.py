@@ -575,8 +575,7 @@ def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
     raise LanczosNoConvergence(LANCZOS_MAX_STEPS, theta, estimate)
 
 
-def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
-                vectors: bool):
+def _block_eigs(n_sites: int, block, k: int, *, method: str | None, vectors: bool):
     """Lowest k eigenpairs of a Hermitian CSR block, ascending, and the
     solver that ran.  "dense" (scipy eigh) when forced, for at most
     DENSE_SECTOR_MAX states with no method forced, and, even when
@@ -585,8 +584,10 @@ def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
     and vectors changed from call to call, from the same start vector.
     "iterative" otherwise: Lanczos (`_lanczos_lowest`) for one level
     without `vectors` (the vectors come back None), ARPACK for the rest.
-    The iterative solvers apply the block through `matvec`, from a start
-    vector drawn from `seed`."""
+    The iterative solvers apply the block through `matvec`, from one fixed
+    start vector per block dimension (a standard normal draw of
+    `default_rng(0)`; any vector not orthogonal to the ground state
+    serves), so every call repeats bit for bit."""
     import scipy.linalg
     import scipy.sparse.linalg
     dim = block.shape[0]
@@ -597,7 +598,7 @@ def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
         vals, vecs = scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
                                        overwrite_a=True)
         return vals, vecs, "dense"
-    v0 = np.random.default_rng(seed).standard_normal(dim)
+    v0 = np.random.default_rng(0).standard_normal(dim)
     block_op = ChainOperator(n_sites, block)
     if k == 1 and not vectors:
         return np.array([_lanczos_lowest(block_op, v0)]), None, "iterative"
@@ -606,7 +607,7 @@ def _block_eigs(n_sites: int, block, k: int, *, seed: int, method: str | None,
     return vals[order], vecs[:, order], "iterative"
 
 
-def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None):
+def _sector_eigs(op: ChainOperator, count: int, *, method: str | None):
     """Lowest eigenvalues of a Hermitian operator by symmetry sector, one
     ascending array per sector, the solver that ran, and the dimension of
     the largest block solved; `_block_eigs` picks the solver for every
@@ -631,13 +632,12 @@ def _sector_eigs(op: ChainOperator, count: int, *, seed: int, method: str | None
         solved = [blocks.block(p) for p in ((0,) if mirror is not None else (0, 1))]
     values = []
     for block in solved:
-        vals, _, kind = _block_eigs(op.n_sites, block, k, seed=seed, method=method,
-                                    vectors=False)
+        vals, _, kind = _block_eigs(op.n_sites, block, k, method=method, vectors=False)
         values.append(vals)
     return values * (1 if mirror is None else 2), kind, solved[0].shape[0]
 
 
-def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
+def ed_spectrum(op: ChainOperator, count: int, *,
                 method: str | None = None) -> SpectrumResult:
     """Lowest `count` eigenvalues of a Hermitian chain operator held as its
     parity blocks (H or H2), merged and sorted, with degeneracy
@@ -655,14 +655,14 @@ def ed_spectrum(op: ChainOperator, count: int, *, seed: int = 0,
     still runs eigh on blocks of at most max(2k + 1, 20) states for k
     levels, where ARPACK's Krylov space would be the whole block.
     `block_dim` is the dimension of the largest block solved.  The
-    iterative start vector is drawn from `seed`, so repeated runs are
+    iterative solvers start from a fixed vector, so repeated runs are
     identical.
     """
     if not isinstance(op._op, _ParityBlocks):
         raise ValueError("ed_spectrum needs a Hermitian operator")
     if count < 1 or count > op.dim:
         raise ValueError("count out of range")
-    values, kind, block_dim = _sector_eigs(op, count, seed=seed, method=method)
+    values, kind, block_dim = _sector_eigs(op, count, method=method)
     vals = np.sort(np.concatenate(values))[:count]
     return SpectrumResult(vals, _cluster(vals), kind, block_dim)
 
@@ -679,7 +679,7 @@ class GroundSpace:
     branch: np.ndarray           # (mu v + t(0) v)/sqrt 2
 
 
-def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
+def ground_space(params: ModelParams) -> GroundSpace:
     """Ground doublet with the t(0) branch resolved in closed form.
 
     The twisted-chain ground level is exactly doubly degenerate: t(0)
@@ -697,7 +697,7 @@ def ground_space(params: ModelParams, *, seed: int = 0) -> GroundSpace:
         raise ValueError("ground_space resolves the twisted-chain doublet")
     blocks = build_hamiltonian(params)._op
     sector, spread = blocks.ground_sector()
-    vals, vecs, _ = _block_eigs(params.N, sector, 1, seed=seed, method=None, vectors=True)
+    vals, vecs, _ = _block_eigs(params.N, sector, 1, method=None, vectors=True)
     even, odd = blocks.states
     V = np.zeros((params.dim, 2), dtype=vecs.dtype)
     V[even, 0] = V[blocks.mirror(even), 1] = spread(vecs[:, 0])

@@ -382,7 +382,8 @@ def _fit_offset(kind: str, Ns, vals):
     both pick the same grid point.  They can differ only where the
     profile is flat to the rounding of the data, where either pick is as
     good as rounding can tell.  A polish that stops on its evaluation cap,
-    or at a non-finite point, raises FitError with its last iterate."""
+    or at a non-finite point, or whose amplitude at N = 0 overflows,
+    raises FitError with its last iterate."""
     if np.ptp(vals) == 0.0:
         raise ValueError("constant data leaves the law parameters undetermined")
     x = _abscissa(kind, Ns)
@@ -410,7 +411,10 @@ def _fit_offset(kind: str, Ns, vals):
         raise FitError(f"offset fit stalled: {sol.message}",
                        iterate=tuple(sol.x))
     A, b, c = sol.x
-    return float(A * math.exp(-b * x_ref)), float(b), float(c)
+    try:
+        return float(A * math.exp(-b * x_ref)), float(b), float(c)
+    except OverflowError:
+        raise FitError(f"offset fit overflows: b = {b:.6g}", iterate=tuple(sol.x)) from None
 
 
 def fit(kind, samples) -> FitResult:
@@ -432,7 +436,8 @@ def fit(kind, samples) -> FitResult:
         Fewer distinct sizes than parameters + 1, or sign-mixed data for a
         no-offset kind.
     FitError
-        The nonlinear engine did not converge; carries its last iterate.
+        The nonlinear engine did not converge, or a parameter or the rms
+        residual is not finite; carries the last iterate.
     """
     kind = _coerce_kind(kind)
     Ns, vals = _coerce_samples(samples)
@@ -447,8 +452,12 @@ def fit(kind, samples) -> FitResult:
         c = None
 
     result = FitResult(kind, float(a), float(b), c, 0.0, len(Ns))
-    resid = result.predict(Ns) - vals
-    rms = float(np.sqrt(np.mean(resid ** 2)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = result.predict(Ns) - vals
+        rms = float(np.sqrt(np.mean(resid ** 2)))
+    if not all(map(math.isfinite, (a, b, 0.0 if c is None else c, rms))):
+        raise FitError(f"{kind} fit is not finite: a = {a:.6g}, b = {b:.6g}, "
+                       f"c = {c}, rms = {rms:.6g}", iterate=(a, b, c))
     return FitResult(kind, float(a), float(b), c, rms, len(Ns))
 
 
@@ -469,8 +478,10 @@ def fit_with_window(kind, samples):
     from the law fitted to the remaining points) exceeds 3x that fit's rms:
     small sizes carry subleading corrections outside the fitted law, and a
     flexible offset law fitted to all points would bend through such a
-    point instead of exposing it.  At most three sizes are removed, never
-    going below the minimum count of distinct sizes.
+    point instead of exposing it.  The smallest size is also excluded when
+    the remaining points admit no finite fit (FitError).  At most three
+    sizes are removed, never going below the minimum count of distinct
+    sizes.
 
     Returns ``(FitResult, samples_used)``.
     """
@@ -480,10 +491,13 @@ def fit_with_window(kind, samples):
     floor = 1e-12 * max(1.0, float(np.max(np.abs(vals))))
     drops = 0
     while drops < _WINDOW_MAX_DROPS and np.unique(Ns[1:]).size > n_free:
-        rest = fit(kind, list(zip(Ns[1:], vals[1:])))
-        deleted = rest.predict(Ns[0]) - vals[0]
-        if abs(deleted) <= 3.0 * max(rest.rms_residual, floor):
-            break
+        try:
+            rest = fit(kind, list(zip(Ns[1:], vals[1:])))
+            deleted = rest.predict(Ns[0]) - vals[0]
+            if abs(deleted) <= 3.0 * max(rest.rms_residual, floor):
+                break
+        except FitError:
+            pass   # no finite law through the rest to hold the smallest size to
         Ns, vals = Ns[1:], vals[1:]
         drops += 1
     pairs = [Sample(int(n), float(v)) for n, v in zip(Ns, vals)]

@@ -81,7 +81,6 @@ _INPUT_FLAGS = {
     "N": ("--n", dict(metavar="LIST|RANGE", help="chain sizes: '4,6,8' or '8..18:2'")),
     "boundary": ("--boundary", dict(type=_parsed_by(Boundary.coerce),
                                     help="anti[periodic] or per[iodic], in any letter case")),
-    "seed": ("--seed", dict(type=int, help="ED start-vector seed")),
 }
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from pathlib import Path
 
 from ..common import Boundary
@@ -15,7 +15,7 @@ __all__ = ["EXPERIMENTS", "INPUT_FIELDS", "ConfigError", "ExperimentConfig",
 EXPERIMENTS = tuple(EXPERIMENT_TABLE)
 
 # the field that each experiment input, a parameter of its body, is read from
-INPUT_FIELDS = {"eta": "eta", "N": "N_list", "boundary": "boundary", "seed": "seed"}
+INPUT_FIELDS = {"eta": "eta", "N": "N_list", "boundary": "boundary"}
 
 _CANONICAL = {name.lower(): name for name in EXPERIMENTS}
 
@@ -36,7 +36,7 @@ def coerce_experiment(name) -> str:
 
 @dataclass
 class ExperimentConfig:
-    """One experiment sweep: grid, physical parameters, output, ED seed.
+    """One experiment sweep: grid, physical parameters, output directory.
 
     ``eta`` is held as the tuple of swept values and may be given as a
     single value or a list; ``N_list`` must be nonempty and ascending.
@@ -49,9 +49,11 @@ class ExperimentConfig:
     N_list: tuple = (4, 6, 8)
     boundary: str = "antiperiodic"
     output_dir: str = "results"
-    seed: int = 0
+    # accepted and discarded, never stored: perfbench/workloads.py still
+    # passes a per-round `seed=`, which ROADMAP item 4 is to drop
+    seed: InitVar[int] = None
 
-    def __post_init__(self):
+    def __post_init__(self, seed):
         self.experiment = coerce_experiment(self.experiment)
         try:
             self.boundary = Boundary.coerce(self.boundary)
@@ -79,7 +81,6 @@ class ExperimentConfig:
         self.N_list = ns
 
         self.output_dir = str(self.output_dir)
-        self.seed = int(self.seed)
 
     @classmethod
     def from_dict(cls, data: dict, overrides: dict | None = None) -> "ExperimentConfig":

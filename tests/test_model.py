@@ -504,12 +504,12 @@ def test_ground_sector_matches_parity_ed(N, boundary):
     for eta in SECTOR_ETAS:
         H = build_hamiltonian(ModelParams(N, eta, boundary))
         for count in (1, 2) if boundary == "anti" else (1,):
-            spec = ed_spectrum(H, count, seed=N)
+            spec = ed_spectrum(H, count)
             assert spec.block_dim == want_dim
             assert spec.method == ("dense" if want_dim <= DENSE_SECTOR_MAX else "iterative")
             assert H._op._blocks == [None, None]     # no parity block was built
             assert spec.degeneracies == [count]      # count 2: the doublet's level twice
-        ref = ed_spectrum(H, 1, seed=N, method=parity_method)
+        ref = ed_spectrum(H, 1, method=parity_method)
         assert ref.block_dim == 1 << (N - 1)
         assert abs(spec.eigenvalues[0] - ref.eigenvalues[0]) <= 1e-12 * abs(ref.eigenvalues[0])
 
@@ -589,7 +589,7 @@ def test_single_level_lanczos_matches_dense(N, eta):
 
 def _arpack_ground(op, seed):
     # the lowest level by a direct eigsh(k=1) on each block ED solves, from
-    # the start vector ed_spectrum draws
+    # a start vector of its own, not the one ed_spectrum fixes
     blocks = op._op
     lows = []
     for p in (0,) if blocks.mirror is not None else (0, 1):
@@ -606,7 +606,7 @@ def test_single_level_lanczos_matches_arpack(N, eta):
     if N > 14:
         ops = ops[:2]   # H2 at N = 13, 14 covers the complex blocks
     for op in ops:
-        got = ed_spectrum(op, 1, seed=N).eigenvalues[0]
+        got = ed_spectrum(op, 1).eigenvalues[0]
         assert abs(got - _arpack_ground(op, N)) < 1e-12
 
 
@@ -650,3 +650,31 @@ def test_forced_iterative_on_tiny_blocks_is_reproducible(op, count):
     for _ in range(10):
         spec = ed_spectrum(op, count, method="iterative")
         assert np.array_equal(spec.eigenvalues, first.eigenvalues)
+
+
+# the lowest levels of both iterative routes at eta = 2, as float.hex:
+# ARPACK (6 levels, the 512-state even block) and Lanczos (one level, the
+# 586-state N = 14 ground sector)
+_PINNED_ITERATIVE = [
+    ((10, 6, 512), ["-0x1.22b10f163c783p+5", "-0x1.22b10f163c783p+5", "-0x1.18d097cdfe84ap+5",
+               "-0x1.18d097cdfe84ap+5", "-0x1.18d097cdfe839p+5", "-0x1.18d097cdfe839p+5"]),
+    ((14, 1, 586), ["-0x1.a3a28324b7bc5p+5"]),
+]
+
+
+@pytest.mark.parametrize("N, count, block_dim, want",
+                         [(*case, want) for case, want in _PINNED_ITERATIVE])
+def test_iterative_ed_repeats_pinned_levels(N, count, block_dim, want):
+    # no seed reaches ED: iterative levels repeat bit for bit, call to call
+    H = build_hamiltonian(ModelParams(N, ETA, "anti"))
+    first, again = ed_spectrum(H, count), ed_spectrum(H, count)
+    assert (first.method, first.block_dim) == ("iterative", block_dim)
+    assert [float(v).hex() for v in first.eigenvalues] == want
+    assert np.array_equal(again.eigenvalues, first.eigenvalues)
+
+
+def test_ground_space_repeats_bit_for_bit():
+    params = ModelParams(14, ETA, "anti")
+    first, again = ground_space(params), ground_space(params)
+    assert first.energy == again.energy
+    assert np.array_equal(first.branch, again.branch)

@@ -15,6 +15,7 @@ from twistbethe.scaling import (
     fit,
     fit_with_window,
 )
+from twistbethe.workbench.cli import main
 
 NS = np.array([4, 6, 8, 10, 12, 14, 16, 18], dtype=float)
 
@@ -274,6 +275,46 @@ def test_too_few_points():
         fit("power-offset", [(4, 1.0), (4, 2.0), (6, 0.5), (6, 0.4)])
     with pytest.raises(ValueError):
         fit("exp-offset", [(4, 1.0), (4, 2.0), (4, 0.5), (4, 0.4)])
+
+
+# noisy exp-offset data at N = 4..18:2 on which the polish runs to a steep
+# exponent: on the first the amplitude at N = 0 overflows a float, on the
+# second the fit ends at a = -0, b = 244 with a nan rms
+_STEEP_OFFSET_DATA = {
+    "overflow": ["-0x1.4581e1ee56f6ep-1", "-0x1.5fbbc24c54c6dp-1", "-0x1.53b1591370bfdp-1",
+                 "-0x1.5522140fa5b05p-1", "-0x1.58c0fc458650bp-1", "-0x1.5adda05e09c40p-1",
+                 "-0x1.5948b28fe7d46p-1", "-0x1.582496500c8d2p-1"],
+    "not-finite": ["0x1.4353590317c0bp-2", "0x1.3cbfe7f73ae20p-2", "0x1.3b1ef6fd3df10p-2",
+                   "0x1.3bbc38ce57cccp-2", "0x1.29185abd0b8a8p-2", "0x1.374c701011e6cp-2",
+                   "0x1.43bd01ef9e77dp-2", "0x1.2c59020d14e49p-2"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STEEP_OFFSET_DATA))
+def test_steep_offset_fit_raises_fit_error(tmp_path, capsys, case):
+    samples = list(zip(NS.astype(int).tolist(), map(float.fromhex, _STEEP_OFFSET_DATA[case])))
+    with pytest.raises(FitError) as err:
+        fit("exp-offset", samples)
+    assert len(err.value.iterate) == 3
+    path = tmp_path / "data.csv"
+    path.write_text("N,value\n" + "".join(f"{n},{v!r}\n" for n, v in samples))
+    assert main(["fit", "--kind", "exp-offset", "--input", str(path), "--y", "value"]) == 1
+    assert capsys.readouterr().err.startswith("fit failed: ")
+
+
+def test_window_drops_a_size_whose_rest_admits_no_finite_fit():
+    # the first deleted-residual test fits N = 6..18, where the polish ends
+    # at a = 0, b = 439 with a nan rms; the window drops N = 4 and goes on
+    # to a finite law
+    vals = ["-0x1.5beddb68bcc4bp-3", "-0x1.3681127f2a395p-3", "-0x1.263f6e0353caap-3",
+            "-0x1.2c3038e8909d6p-3", "-0x1.47bb8251c6547p-3", "-0x1.3d29dee9cfec2p-3",
+            "-0x1.3a59ad75decb3p-3", "-0x1.28f68bfc5a667p-3"]
+    samples = list(zip(NS.astype(int).tolist(), map(float.fromhex, vals)))
+    with pytest.raises(FitError):
+        fit("exp-offset", samples[1:])
+    r, used = fit_with_window("exp-offset", samples)
+    assert [s.N for s in used] == [8, 10, 12, 14, 16, 18]
+    assert r.c == pytest.approx(float.fromhex("-0x1.389c7905992cfp-3"), abs=1e-12)
 
 
 def test_sample_validation():

@@ -74,9 +74,9 @@ def test_config_rejects_bad_input(tmp_path):
 def test_from_dict_overrides(tmp_path):
     cfg = ExperimentConfig.from_dict(
         {"experiment": "GapScan", "eta": 1.0, "N_list": [4]},
-        {"eta": [2.0, 3.0], "output_dir": str(tmp_path), "seed": None})
+        {"eta": [2.0, 3.0], "output_dir": str(tmp_path), "N_list": None})
     assert cfg.eta == (2.0, 3.0)
-    assert cfg.seed == 0
+    assert cfg.N_list == (4,)
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "GapScan", "bogus": 1})
 
@@ -115,17 +115,19 @@ def test_point_key_format_is_pinned(monkeypatch):
     params = {"eta": 2.0, "N": 4, "boundary": "antiperiodic", "seed": 0}
     assert runner._point_key("EdSpectrum", params) == "6ac696a1e384ab0e2353"
     assert runner._point_key("Thermo", {"eta": 0.1}) == "6501fe0c59b57cc766ac"
+    params = {"eta": 2.0, "N": 4, "boundary": "antiperiodic"}
+    assert runner._point_key("EdSpectrum", params) == "51e9aace1d80383486dd"
 
 
 # the inputs each experiment reads: the parameters of its body
 EXPERIMENT_INPUTS = {
-    "EdSpectrum": ["eta", "N", "boundary", "seed"],
-    "GapScan": ["eta", "N", "boundary", "seed"],
+    "EdSpectrum": ["eta", "N", "boundary"],
+    "GapScan": ["eta", "N", "boundary"],
     "SolveHom": ["eta", "N", "boundary"],
-    "SolveInhom": ["eta", "N", "seed"],
-    "EinhScan": ["eta", "N", "seed"],
-    "BoundaryEnergyScan": ["eta", "N", "seed"],
-    "ChargeScan": ["eta", "N", "seed"],
+    "SolveInhom": ["eta", "N"],
+    "EinhScan": ["eta", "N"],
+    "BoundaryEnergyScan": ["eta", "N"],
+    "ChargeScan": ["eta", "N"],
     "Thermo": ["eta"],
 }
 
@@ -145,7 +147,8 @@ def test_unread_inputs_are_refused(tmp_path, capsys):
     out = str(tmp_path)
     for argv in (["EinhScan", "--boundary", "per", "--n", "4"],
                  ["Thermo", "--n", "4"],
-                 ["SolveHom", "--seed", "1", "--n", "4"]):
+                 ["SolveHom", "--seed", "1", "--n", "4"],
+                 ["EinhScan", "--seed", "1", "--n", "4"]):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", out])
         assert exc.value.code == 2
@@ -154,6 +157,10 @@ def test_unread_inputs_are_refused(tmp_path, capsys):
                                  "boundary": "periodic"}))
     assert main(["EinhScan", "--config", str(cfile), "--out", out]) == 2
     assert "EinhScan reads no config keys ['boundary']" in capsys.readouterr().err
+    # iterative ED starts from a fixed vector: no experiment reads a seed
+    cfile.write_text(json.dumps({"experiment": "EinhScan", "N_list": [4], "seed": 1}))
+    assert main(["EinhScan", "--config", str(cfile), "--out", out]) == 2
+    assert "EinhScan reads no config keys ['seed']" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "Thermo", "N_list": [4]})
     assert not (tmp_path / "cache").exists()   # nothing ran
