@@ -12,7 +12,9 @@ import math
 
 from twistbethe.scaling import Sample, extrapolate, fit, fit_with_window
 from twistbethe.thermo import twisted_boundary_energy
-from twistbethe.workbench import ExperimentConfig, emit, run
+from twistbethe.workbench.config import ExperimentConfig
+from twistbethe.workbench.emit import emit
+from twistbethe.workbench.runner import run
 
 out = "demos/out"
 

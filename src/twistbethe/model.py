@@ -98,8 +98,8 @@ class ModelParams:
     def __post_init__(self):
         if self.N < 2:
             raise ValueError("need at least two sites")
-        if not self.eta > 0:
-            raise ValueError("eta must be positive (massive regime)")
+        if not 0 < self.eta < math.inf:
+            raise ValueError(f"eta must be positive and finite (massive regime): {self.eta}")
         object.__setattr__(self, "boundary", Boundary.coerce(self.boundary))
 
     @property

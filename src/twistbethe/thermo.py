@@ -42,8 +42,8 @@ ETA_MIN = 1e-4
 
 
 def _check_eta(eta: float) -> None:
-    if not eta > 0:
-        raise ValueError("eta must be positive (massive regime)")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite (massive regime): {eta}")
     if eta < ETA_MIN:
         raise ValueError(
             f"eta={eta} below series guard {ETA_MIN}; "

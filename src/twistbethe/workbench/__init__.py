@@ -1,21 +1,1 @@
 """Experiment orchestration: configs, sweeps with caching, emission, checks."""
-
-from .config import EXPERIMENTS, ConfigError, ExperimentConfig, load_config_file
-from .emit import emit, parse_csv, render_svg
-from .runner import ResultRecord, flatten_record, run
-from .verify import VerifyReport, verify
-
-__all__ = [
-    "EXPERIMENTS",
-    "ConfigError",
-    "ExperimentConfig",
-    "load_config_file",
-    "emit",
-    "parse_csv",
-    "render_svg",
-    "ResultRecord",
-    "flatten_record",
-    "run",
-    "VerifyReport",
-    "verify",
-]

@@ -165,8 +165,9 @@ def _cmd_verify(args) -> int:
 def _cmd_fit(args) -> int:
     try:
         rows = parse_csv(args.input)
-    except FileNotFoundError:
-        print(f"input not found: {args.input}", file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"cannot read input {args.input}: {reason}", file=sys.stderr)
         return 2
     samples = []
     for row in rows:
@@ -174,6 +175,10 @@ def _cmd_fit(args) -> int:
             continue
         if args.y not in row or "N" not in row or row[args.y] == "":
             continue
+        for column in ("N", args.y):
+            if isinstance(row[column], str):
+                print(f"column {column!r} is not numeric: {row[column]!r}", file=sys.stderr)
+                return 2
         samples.append((row["N"], float(row[args.y])))
     if not samples:
         print(f"no usable rows with columns 'N', {args.y!r}", file=sys.stderr)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import InitVar, dataclass
 from pathlib import Path
 
@@ -65,8 +66,8 @@ class ExperimentConfig:
             self.eta = tuple(float(e) for e in etas)
         except (TypeError, ValueError):
             raise ConfigError(f"eta must be a number or list: {self.eta!r}") from None
-        if not self.eta or any(e <= 0 for e in self.eta):
-            raise ConfigError("eta values must be positive")
+        if not self.eta or not all(0 < e < math.inf for e in self.eta):
+            raise ConfigError(f"eta values must be positive and finite: {self.eta}")
 
         try:
             ns = tuple(int(n) for n in self.N_list)

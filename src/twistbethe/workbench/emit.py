@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from ..scaling import FitResult
-from .runner import ResultRecord, flatten_record
+from .runner import flatten_record
 
 __all__ = ["emit", "parse_csv", "render_svg"]
 
@@ -55,8 +55,7 @@ def emit(records, fmt, output_dir=".", basename: str | None = None, *,
     """Write records in the requested format; returns the files written.
 
     ``fmt`` is one of ``CSV``, ``JSON``, ``SVG`` (case-insensitive).  SVG
-    needs ``x_field``/``y_field`` naming numeric columns; ``y_field``
-    defaults to the first float output of the first record.
+    needs ``x_field``/``y_field`` naming numeric columns.
     """
     records = list(records)
     if not records:
@@ -87,7 +86,7 @@ def emit(records, fmt, output_dir=".", basename: str | None = None, *,
 
     if fmt_key == "svg":
         if y_field is None:
-            y_field = _default_y_field(records[0])
+            raise ValueError("SVG needs y_field, the column to plot")
         path = out / f"{base}.svg"
         path.write_text(
             render_svg(flats, x_field, y_field, fit_result=fit_result,
@@ -96,13 +95,6 @@ def emit(records, fmt, output_dir=".", basename: str | None = None, *,
         return [path]
 
     raise ValueError(f"unknown emit format: {fmt!r}; expected CSV, JSON or SVG")
-
-
-def _default_y_field(record: ResultRecord) -> str:
-    for key, val in record.outputs.items():
-        if isinstance(val, (float, np.floating)):
-            return key
-    raise ValueError("record has no float output to plot")
 
 
 def parse_csv(path) -> list[dict]:
@@ -187,7 +179,6 @@ def render_svg(flats: list[dict], x_field: str, y_field: str, *,
         x_log = fit_result.kind.startswith("power")
     else:
         x_log = xs.min() > 0 and xs.max() / xs.min() >= 10.0
-    y_log = True
 
     x_lo, x_hi = float(xs.min()), float(xs.max())
     y_lo, y_hi = float(ys.min()), float(ys.max())

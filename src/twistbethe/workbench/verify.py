@@ -1,13 +1,15 @@
 """Self checks: one function per checked claim, run by ``verify`` at two
-levels and by the acceptance suite (``tests/test_acceptance.py``).
+levels; the acceptance suite (``tests/test_acceptance.py``) is one run of
+the ``full`` level.
 
 Each ``check_*`` function takes the sizes it samples (N lists, eta lists)
 and returns a `Measured`: the worst deviation under each label, judged
-against that label's bound, a constant beside the check.  ``verify`` runs
-the ``fast`` (N <= 8 for most checks, N <= 12 for the band-edge and
-ED-asymptote ones) or ``full`` (larger N, to 20 for the band-edge check;
-reduced roots at N ~ 200, and at eta = 0.5 at N = 74185) arguments and
-reports one line per check.  Ground energies come from ED in the ground
+against that label's bound, a constant beside the check.  `CHECKS` is the
+one table of the sizes each check runs at: ``verify`` runs its ``fast``
+(N <= 8 for most checks, N <= 12 for the band-edge and ED-asymptote ones)
+or ``full`` (larger N, to 20 for the band-edge check; reduced roots at
+N ~ 200, and at eta = 0.5 at N = 74185) arguments and reports one line
+per check.  Ground energies come from ED in the ground
 level's translation sector (dense eigh to N = 12, Lanczos above), ground
 doublets from the same sector (dense eigh to N = 12, ARPACK above).  The
 CLI maps any failure to a nonzero exit code.  Checks reach the program
@@ -446,7 +448,8 @@ def check_large_n_consistency(sizes, etas=()) -> Measured:
 # the identities, and criteria 1-3: the paper's table, the isotropic limit
 _THERMO_ARGS = ((1.0, 2.0, 3.0), (2.0, 3.0), (2.0, 3.0), (0.6, 0.45, 0.3, 0.2, 0.05))
 # the synthetic laws, and criterion 10's ED asymptote at eta = 2 and 3
-_SCALING_ARGS = ((range(8, 41, 2), range(4, 41, 2)), (2.0, 3.0), (4, 6, 8, 10, 12))
+_SCALING_ARGS = ((range(4, 20, 2), range(8, 41, 2), range(4, 41, 2)), (2.0, 3.0),
+                 (4, 6, 8, 10, 12))
 # name: (check, its arguments at level fast, at level full; None: not run)
 CHECKS = {
     "thermo-series-identities": (check_thermo_series, _THERMO_ARGS, _THERMO_ARGS),
@@ -456,7 +459,7 @@ CHECKS = {
     "hom-roots-vs-ed": (check_hom_vs_ed, (range(4, 9),), (range(4, 13),)),
     "inhom-roots-vs-ed": (check_inhom_vs_ed, ((4, 6),), ((4, 6, 8, 10),)),
     "inhom-energy-signs": (check_einh_signs, ((8,), (7,)),
-                           ((8, 10, 12, 14, 16, 18), (7, 9, 11, 13))),
+                           ((8, 10, 12, 14, 16, 18), (7, 9, 11, 13, 15, 17))),
     "conserved-charges": (check_charges, (range(4, 9, 2), range(5, 8, 2)),
                           (range(4, 17, 2), range(5, 16, 2))),
     "scaling-fit-recovery": (check_scaling_recovery, _SCALING_ARGS, _SCALING_ARGS),

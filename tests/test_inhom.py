@@ -163,6 +163,8 @@ def test_momentum_from_inhom_roots_on_doublet_branch():
             assert abs(abs(p.imag) - math.pi / 2) < 1e-9
         else:
             assert min(abs(p.imag), abs(abs(p.imag) - math.pi)) < 1e-9
+        # <branch|H2|branch> is 0 in ED; the roots give it to rounding
+        assert abs(charge_from_roots("ChargeH2", roots)) < 1e-11
 
 
 def test_rejects_unsupported_inputs(monkeypatch):

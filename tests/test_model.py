@@ -425,6 +425,9 @@ def test_params_validation():
         ModelParams(4, ETA, "moebius")
     with pytest.raises(ValueError):
         ModelParams(4, ETA, "twisted")   # one spelling per boundary, any case
+    for eta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            ModelParams(4, eta, "anti")
     assert ModelParams(4, ETA, "Anti").boundary is Boundary.ANTIPERIODIC
     # the uniform chain: no inhomogeneities to set
     assert [f.name for f in dataclasses.fields(ModelParams)] == ["N", "eta", "boundary"]

@@ -135,6 +135,9 @@ def test_eta_guard():
         e0_density(1e-6)
     with pytest.raises(ValueError):
         e0_density(-1.0)
+    for eta in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            e0_density(eta)
 
 
 def test_ground_energy_tl_tabulates_hole():

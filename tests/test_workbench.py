@@ -3,23 +3,17 @@
 import cmath
 import dataclasses
 import json
+import math
 import time
 
 import numpy as np
 import pytest
 
 from twistbethe import baes, model, thermo
-from twistbethe.workbench import (
-    ConfigError,
-    EXPERIMENTS,
-    ExperimentConfig,
-    ResultRecord,
-    emit,
-    flatten_record,
-    parse_csv,
-    run,
-)
 from twistbethe.workbench import runner
+from twistbethe.workbench.config import EXPERIMENTS, ConfigError, ExperimentConfig
+from twistbethe.workbench.emit import emit, parse_csv
+from twistbethe.workbench.runner import ResultRecord, flatten_record, run
 from twistbethe.workbench.cli import main
 from twistbethe.workbench.verify import (
     check_charges,
@@ -53,8 +47,9 @@ def test_experiment_names_canonical():
 def test_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError):
         ExperimentConfig(experiment="nonsense")
-    with pytest.raises(ConfigError):
-        _cfg(tmp_path, eta=-1.0)
+    for eta in (-1.0, math.inf, math.nan, [2.0, math.inf]):
+        with pytest.raises(ConfigError):
+            _cfg(tmp_path, eta=eta)
     with pytest.raises(ConfigError):
         _cfg(tmp_path, N_list=[])
     with pytest.raises(ConfigError):
@@ -256,6 +251,8 @@ def test_emit_rejects_mixed_schema(tmp_path):
         emit(a + b, "csv", str(tmp_path))
     with pytest.raises(ValueError):
         emit(a, "yaml", str(tmp_path))
+    with pytest.raises(ValueError, match="y_field"):   # SVG names the column it plots
+        emit(a, "svg", str(tmp_path))
 
 
 def test_emit_svg_structure(tmp_path):
@@ -350,9 +347,36 @@ def test_cli_fit_subcommand(tmp_path, capsys):
 
     assert main(["fit", "--kind", "power", "--input",
                  str(tmp_path / "missing.csv"), "--y", "value"]) == 2
+    capsys.readouterr()
+    # a directory, a file that is not UTF-8 and a text column are bad input
+    # too (exit 2), not a traceback
+    assert main(["fit", "--kind", "power", "--input", str(tmp_path), "--y", "value"]) == 2
+    assert capsys.readouterr().err.startswith("cannot read input")
+    out = str(tmp_path / "out")
+    assert main(["EdSpectrum", "--eta", "2", "--n", "4,5", "--out", out,
+                 "--formats", "csv"]) == 0
+    capsys.readouterr()
+    assert main(["fit", "--kind", "power", "--input", f"{out}/edspectrum.csv",
+                 "--y", "method"]) == 2
+    assert capsys.readouterr().err == "column 'method' is not numeric: 'dense'\n"
+    bad = tmp_path / "bad.csv"
+    for text, message in ((b"N,v\n4,\xff\n", "cannot read input"),
+                          (b"N,v\nx,1\ny,2\n", "column 'N' is not numeric")):
+        bad.write_bytes(text)
+        assert main(["fit", "--kind", "power", "--input", str(bad), "--y", "v"]) == 2
+        assert capsys.readouterr().err.startswith(message)
     with pytest.raises(SystemExit):   # one spelling per subcommand
         main(["Fit", "--kind", "power", "--input", str(path), "--y", "value"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("eta", ["inf", "nan", "2,inf"])
+def test_cli_refuses_non_finite_eta(tmp_path, capsys, eta):
+    out = tmp_path / "out"
+    for name in ("Thermo", "EdSpectrum"):
+        assert main([name, "--eta", eta, "--out", str(out)]) == 2
+        assert "finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_spellings_parse_through_the_library(tmp_path, capsys):
@@ -425,9 +449,9 @@ def test_cli_fit_has_no_size_column_flag(tmp_path, capsys):
 
 
 def test_cli_verify_fast(tmp_path, capsys):
-    for level, passed in (("fast", "10/10"), ("full", "11/11")):
-        assert main(["verify", "--level", level]) == 0
-        assert f"OK: {passed} checks passed" in capsys.readouterr().out
+    # the full level is the acceptance suite (tests/test_acceptance.py)
+    assert main(["verify", "--level", "fast"]) == 0
+    assert "OK: 10/10 checks passed" in capsys.readouterr().out
 
 
 def test_verify_mutation_detected(monkeypatch):
