@@ -186,8 +186,8 @@ def theta_m(m: int, x, eta: float):
     Odd, quasi-periodic (adds 2 pi per period), derivative 2 pi a_m(x)."""
     if m < 1:
         raise ValueError("m must be a positive integer")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite: {eta}")
     x = np.asarray(x, dtype=float)
     t = math.tanh(0.5 * m * eta)
     w = eta * x

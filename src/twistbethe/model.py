@@ -9,13 +9,14 @@ bond) is sx.sx + sy.sy + cosh(eta) sz.sz.  The chain is uniform:
 inhomogeneities (the T-Q derivation's theta_j are zero).
 
 Every operator comes from one of two constructions.  H and the
-three-site charge H2 are CSR matrices, sums of Pauli strings whose bit
-rules (X and Y flip a bit, Y and Z contribute a sign or phase) give each
-matrix element directly.  The transfer matrix t(u) is applied
-matrix-free by contracting the six-vertex R-matrix one site at a time,
-O(N 2^N) per point u; K points run through the sites in one pass
-(`_TransferContraction`), which is how `transfer_expectations` gives
-<v|t(u_k)|v> at all of them, and a single t(u) is its K = 1 case.
+three-site charge H2 are CSR matrices (`_Csr`, on numpy arrays), sums
+of Pauli strings whose bit rules (X and Y flip a bit, Y and Z contribute
+a sign or phase) give each matrix element directly.  The transfer
+matrix t(u) is applied matrix-free by contracting the six-vertex
+R-matrix one site at a time, O(N 2^N) per point u; K points run through
+the sites in one pass (`_TransferContraction`), which is how
+`transfer_expectations` gives <v|t(u_k)|v> at all of them, and a single
+t(u) is its K = 1 case.
 t(0) is a bit map; its CSR permutation (`build_momentum_charge`) is an
 independent oracle that no program path builds.
 Hamiltonians are real symmetric; H2 and t(u) are complex.
@@ -29,13 +30,13 @@ them.  Where a basis permutation commutes with the operator and flips P
 (t(0) on the twisted chain; the global spin flip for H on the periodic
 chain at odd N) the odd block is the even one on the mirrored states:
 only the even block is built and solved, and its levels count twice.
-ED solves the blocks one at a time (`_block_eigs`): dense eigh up to
-DENSE_SECTOR_MAX states per block; above it, plain Lanczos for one
-level without its vector, and ARPACK otherwise.  No symmetry is held as
-an array over the 2^N states: beyond the two parity state lists, a solve
-allocates only the block it solves (with a translation sector's orbit
-tables, 2^(N-1) int32 each) and, in `ground_space`, the two full-space
-vectors.
+ED solves the blocks one at a time (`_block_eigs`): numpy's dense
+eigvalsh or eigh up to DENSE_SECTOR_MAX states per block; above it,
+plain Lanczos for one level without its vector, and ARPACK otherwise.
+No symmetry is held as an array over the 2^N states: beyond the two
+parity state lists, a solve allocates only the block it solves (with a
+translation sector's orbit tables, 2^(N-1) int32 each) and, in
+`ground_space`, the two full-space vectors.
 
 H also declares the translation sector that holds its ground level: the
 even block's t(0)^2 = -1 (even N) or +1 (odd N) sector on the twisted
@@ -54,9 +55,14 @@ ITERATIVE_MAX = 20; H and H2 are refused above it.  A dense 2^N matrix
 is derived on demand only for N <= 12, a size chosen for 5 GB class
 hardware.
 
-scipy is imported inside the functions that build a sparse matrix or
-solve one, on first use, so a process that runs no ED or transfer
-matrix never loads it.
+scipy is loaded by the iterative solvers, on first use: Lanczos runs on
+its BLAS and LAPACK, ARPACK is its `eigsh`, and both apply a block
+through its CSR kernel; a forced dense solve of a block above the cap,
+the iterative solvers' reference, is its subset eigh.  Building
+operators, the dense route below the cap, the transfer matrix and
+`ground_space` up to DENSE_SECTOR_MAX sector states (N = 12) run on
+numpy only, so a process whose ED stays below the dense cap, such as
+every inhomogeneous T-Q solve, never loads scipy.
 """
 
 from __future__ import annotations
@@ -142,9 +148,46 @@ class ChainOperator:
                                    dtype=self.dtype)
 
 
+class _Csr:
+    """Square sparse matrix in CSR form on numpy arrays: row i holds the
+    values data[indptr[i]:indptr[i+1]] in the columns indices[indptr[i]:
+    indptr[i+1]], both index arrays int32, and a column repeated within a
+    row adds up.  Densified on numpy (`toarray`).  Applied with `@` by
+    scipy's CSR kernel, which loads scipy: the first product puts the
+    arrays in scipy's canonical form (columns ascending within each row,
+    repeats summed, by `sum_duplicates`, which rewrites them in place), and
+    the matrix keeps scipy's arrays from then on, so that the dense and the
+    iterative route read one set of arrays and neither copies it."""
+
+    def __init__(self, data, indices, indptr):
+        self.data, self.indices, self.indptr = data, indices, indptr
+        self.shape = (len(indptr) - 1,) * 2
+        self.dtype = data.dtype
+        self._scipy = None
+
+    def rows(self):
+        """The row of every entry."""
+        return np.repeat(np.arange(self.shape[0], dtype=np.int32), np.diff(self.indptr))
+
+    def toarray(self):
+        out = np.zeros(self.shape, dtype=self.dtype)
+        np.add.at(out, (self.rows(), self.indices), self.data)
+        return out
+
+    def __matmul__(self, v):
+        if self._scipy is None:
+            import scipy.sparse
+            matrix = scipy.sparse.csr_matrix((self.data, self.indices, self.indptr),
+                                             shape=self.shape)
+            matrix.sum_duplicates()
+            self.data, self.indices, self.indptr = matrix.data, matrix.indices, matrix.indptr
+            self._scipy = matrix
+        return self._scipy @ v
+
+
 class _ParityBlocks:
     """Operator commuting with P = prod sigma^z, held as its two blocks:
-    `block(p)` is a CSR matrix on the basis states `states[p]` (ascending),
+    `block(p)` is a `_Csr` matrix on the basis states `states[p]` (ascending),
     those with an even (p = 0, P = +1) or odd (p = 1) number of down spins,
     built by `build(p)` on first use.  Applied and densified by scattering
     through `states`.
@@ -153,7 +196,7 @@ class _ParityBlocks:
     |mirror(s)>, that commutes with the operator and maps each sector onto
     the other, so the odd block is the even block on the states
     mirror(states[0]) and ED solves the even one alone.  `ground_sector`,
-    when given, builds the CSR matrix of the operator on the one
+    when given, builds the `_Csr` matrix of the operator on the one
     translation sector that holds its lowest level, with the map that
     spreads sector vectors onto the states of its parity block
     (`_pauli_csr`); it allocates no parity block."""
@@ -183,12 +226,12 @@ class _ParityBlocks:
     def toarray(self):
         out = np.zeros(self.shape, dtype=self.dtype)
         for block, states in zip(self.blocks, self.states):
-            out[np.ix_(states, states)] = block.toarray()
+            np.add.at(out, (states[block.rows()], states[block.indices]), block.data)
         return out
 
 
 def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
-    """Sum of Pauli strings as its two parity blocks, CSR with int32 indices.
+    """Sum of Pauli strings as its two parity blocks, each a `_Csr`.
 
     Each term is (coeff, ((site, "X"|"Y"|"Z"), ...)) with 1-based, distinct
     sites, and flips an even number of sites, so that the sum commutes with
@@ -219,7 +262,6 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
     every operator built here feeds ED, which stops there."""
     if N > ITERATIVE_MAX:
         raise ValueError(f"N={N} exceeds the ED limit N <= {ITERATIVE_MAX}")
-    import scipy.sparse
     half = 1 << (N - 1)
     by_flip = {}
     for coeff, ops in terms:
@@ -273,10 +315,9 @@ def _pauli_csr(N: int, terms, mirror, sector) -> _ParityBlocks:
             indices[at] = cols[nz]
             data[at] = amp[nz]
             fill[nz] += 1
-        matrix = scipy.sparse.csr_matrix((data, indices, indptr), shape=(len(rows),) * 2)
-        # entries (r, r') reached through several states of the orbit of r'
-        matrix.sum_duplicates()
-        return matrix
+        # a sector's entry (r, r') comes once for each state of the orbit
+        # of r' that a string reaches from r: repeats that `_Csr` sums
+        return _Csr(data, indices, indptr)
 
     def block(p):
         return csr(states[p], lambda cols, amp: (cols >> 1, amp))
@@ -382,14 +423,14 @@ def build_momentum_charge(params: ModelParams) -> ChainOperator:
     t(0)^{2N} = 1 exactly."""
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("momentum charge is defined for the antiperiodic chain")
-    import scipy.sparse
     t0, _ = _symmetries(params)
     dim = 1 << params.N
-    # column s holds one 1, in row t0(s)
-    columns = np.arange(dim + 1, dtype=np.int32)
-    matrix = scipy.sparse.csc_matrix((np.ones(dim), t0(columns[:-1]), columns),
-                                     shape=(dim, dim))
-    return ChainOperator(params.N, matrix.tocsr())
+    # row t0(s) holds one 1, in column s
+    s = np.arange(dim, dtype=np.int32)
+    indices = np.empty(dim, dtype=np.int32)
+    indices[t0(s)] = s
+    return ChainOperator(params.N, _Csr(np.ones(dim), indices,
+                                        np.arange(dim + 1, dtype=np.int32)))
 
 
 def build_h2_charge(params: ModelParams) -> ChainOperator:
@@ -576,32 +617,44 @@ def _lanczos_lowest(op: ChainOperator, v0: np.ndarray) -> float:
 
 
 def _block_eigs(n_sites: int, block, k: int, *, method: str | None, vectors: bool):
-    """Lowest k eigenpairs of a Hermitian CSR block, ascending, and the
-    solver that ran.  "dense" (scipy eigh) when forced, for at most
-    DENSE_SECTOR_MAX states with no method forced, and, even when
+    """Lowest k eigenvalues of a Hermitian `_Csr` block, ascending, their
+    vectors (None where `vectors` is False) and the solver that ran.
+    "dense" when forced, for at most DENSE_SECTOR_MAX states with no
+    method forced, and, even when
     "iterative" is forced, wherever ARPACK's default Krylov space of
     max(2k + 1, 20) vectors would span the whole block: there its levels
     and vectors changed from call to call, from the same start vector.
-    "iterative" otherwise: Lanczos (`_lanczos_lowest`) for one level
-    without `vectors` (the vectors come back None), ARPACK for the rest.
-    The iterative solvers apply the block through `matvec`, from one fixed
+    Up to DENSE_SECTOR_MAX states the dense route is numpy's eigvalsh, or
+    eigh for vectors, and loads no scipy.  Only a forced "dense" runs above
+    the cap, as the reference of the iterative solvers, and there it is
+    scipy's eigh on the lowest k levels: numpy's eigvalsh drifts from the
+    lowest level by up to 1.4e-12 (H2 at N = 11, eta = 3, 1024 states),
+    and numpy's eigh, which stays within 5e-14, takes 15 s for all 2048
+    vectors of H2 at N = 12, against 2.6 s.  "iterative" otherwise:
+    Lanczos (`_lanczos_lowest`) for one level without `vectors`, ARPACK
+    for the rest, both on scipy.  The
+    iterative solvers apply the block through `matvec`, from one fixed
     start vector per block dimension (a standard normal draw of
     `default_rng(0)`; any vector not orthogonal to the ground state
     serves), so every call repeats bit for bit."""
-    import scipy.linalg
-    import scipy.sparse.linalg
     dim = block.shape[0]
     if (method == "dense" or dim <= max(2 * k + 1, 20)
             or (method is None and dim <= DENSE_SECTOR_MAX)):
-        # a private Fortran-ordered matrix that eigh overwrites in place
-        subset = (0, k - 1) if k < dim else None
-        vals, vecs = scipy.linalg.eigh(block.toarray(order="F"), subset_by_index=subset,
-                                       overwrite_a=True)
-        return vals, vecs, "dense"
+        if dim > DENSE_SECTOR_MAX:
+            import scipy.linalg
+            subset = (0, k - 1) if k < dim else None
+            vals, vecs = scipy.linalg.eigh(block.toarray(), subset_by_index=subset,
+                                           overwrite_a=True)
+            return vals, vecs if vectors else None, "dense"
+        if not vectors:
+            return np.linalg.eigvalsh(block.toarray())[:k], None, "dense"
+        vals, vecs = np.linalg.eigh(block.toarray())
+        return vals[:k], vecs[:, :k], "dense"
     v0 = np.random.default_rng(0).standard_normal(dim)
     block_op = ChainOperator(n_sites, block)
     if k == 1 and not vectors:
         return np.array([_lanczos_lowest(block_op, v0)]), None, "iterative"
+    import scipy.sparse.linalg
     vals, vecs = scipy.sparse.linalg.eigsh(block_op.as_scipy(), k=k, which="SA", v0=v0)
     order = np.argsort(vals)
     return vals[order], vecs[:, order], "iterative"
@@ -648,12 +701,14 @@ def ed_spectrum(op: ChainOperator, count: int, *,
     2^(N-1)/N states (2048 at N = 16), for one level per solved block
     (count 1, or 2 on a mirrored operator) with no `method` forced, and
     the parity blocks otherwise, the even one alone where a mirror
-    exists.  `_block_eigs` picks the solver: dense eigh up to
-    DENSE_SECTOR_MAX states, Lanczos for one level above it and ARPACK
-    for several, all reported "dense" or "iterative".  `method` forces
-    "dense" or "iterative" on the parity blocks; a forced "iterative"
-    still runs eigh on blocks of at most max(2k + 1, 20) states for k
-    levels, where ARPACK's Krylov space would be the whole block.
+    exists.  `_block_eigs` picks the solver: numpy's dense eigvalsh up to
+    DENSE_SECTOR_MAX states, which loads no scipy, and above it scipy's
+    Lanczos for one level and ARPACK for several, all reported "dense" or
+    "iterative".  `method` forces "dense" or "iterative" on the parity
+    blocks; a forced "dense" above the cap runs scipy's eigh on the lowest
+    levels, and a forced "iterative" still runs eigvalsh on blocks of at most
+    max(2k + 1, 20) states for k levels, where ARPACK's Krylov space would
+    be the whole block.
     `block_dim` is the dimension of the largest block solved.  The
     iterative solvers start from a fixed vector, so repeated runs are
     identical.
@@ -686,12 +741,13 @@ def ground_space(params: ModelParams) -> GroundSpace:
     commutes with H and flips P, so it maps the even block's lowest state
     v to the odd block's, t(0) v, and the basis is [v, t(0) v].  v is the
     lowest state of H's ground sector (`_symmetries`), solved for one
-    level with its vector by `_block_eigs` (dense eigh up to
-    DENSE_SECTOR_MAX states, ARPACK above) and spread onto the even
-    block's states; no parity block is built.  On [v, t(0) v], t(0) is
-    [[0, lam^2], [1, 0]], lam^2 = <v|t(0) (t(0) v)> measured through the
-    bit map; its eigenvalues +-mu = +-sqrt(lam^2) (+-i at even N, +-1 at
-    odd N) have the members (+-mu v + t(0) v)/sqrt 2.
+    level with its vector by `_block_eigs` (numpy's dense eigh up to
+    DENSE_SECTOR_MAX states, to N = 12, with no scipy loaded; scipy's
+    ARPACK above) and spread onto the even block's states; no parity
+    block is built.  On [v, t(0) v], t(0) is [[0, lam^2], [1, 0]],
+    lam^2 = <v|t(0) (t(0) v)> measured through the bit map; its
+    eigenvalues +-mu = +-sqrt(lam^2) (+-i at even N, +-1 at odd N) have
+    the members (+-mu v + t(0) v)/sqrt 2.
     """
     if params.boundary is not Boundary.ANTIPERIODIC:
         raise ValueError("ground_space resolves the twisted-chain doublet")

@@ -79,8 +79,8 @@ def kernel_a(m: int, x, eta: float):
     """
     if m < 1:
         raise ValueError("kernel order m must be a positive integer")
-    if not eta > 0:
-        raise ValueError("eta must be positive")
+    if not 0 < eta < math.inf:
+        raise ValueError(f"eta must be positive and finite: {eta}")
     x = np.asarray(x, dtype=float)
     # sinh(A)/(cosh(A)-c) = (1 - e^{-2A}) / (1 + e^{-2A} - 2 c e^{-A}), A = m*eta
     e = math.exp(-m * eta)

@@ -39,16 +39,19 @@ def coerce_experiment(name) -> str:
 class ExperimentConfig:
     """One experiment sweep: grid, physical parameters, output directory.
 
-    ``eta`` is held as the tuple of swept values and may be given as a
-    single value or a list; ``N_list`` must be nonempty and ascending.
-    A sweep reads only the fields of its experiment's inputs
-    (`runner.inputs`, by INPUT_FIELDS); `from_dict` refuses the others.
+    Every field of the experiment's inputs (`runner.inputs`, by
+    INPUT_FIELDS) must be given; there are no default grids.  ``eta`` is
+    held as the tuple of swept values and may be given as a single value or
+    a list; ``N_list`` must be nonempty and ascending.  A field the
+    experiment does not read may be given, and is checked the same way, or
+    left None; a sweep reads only the fields of its inputs, and `from_dict`
+    refuses the others.
     """
 
     experiment: str
-    eta: tuple = (2.0,)
-    N_list: tuple = (4, 6, 8)
-    boundary: str = "antiperiodic"
+    eta: tuple | None = None
+    N_list: tuple | None = None
+    boundary: str | None = None
     output_dir: str = "results"
     # accepted and discarded, never stored: perfbench/workloads.py still
     # passes a per-round `seed=`, which ROADMAP item 4 is to drop
@@ -56,31 +59,38 @@ class ExperimentConfig:
 
     def __post_init__(self, seed):
         self.experiment = coerce_experiment(self.experiment)
-        try:
-            self.boundary = Boundary.coerce(self.boundary)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        if self.boundary is not None:
+            try:
+                self.boundary = Boundary.coerce(self.boundary)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
-        etas = self.eta if isinstance(self.eta, (list, tuple)) else [self.eta]
-        try:
-            self.eta = tuple(float(e) for e in etas)
-        except (TypeError, ValueError):
-            raise ConfigError(f"eta must be a number or list: {self.eta!r}") from None
-        if not self.eta or not all(0 < e < math.inf for e in self.eta):
-            raise ConfigError(f"eta values must be positive and finite: {self.eta}")
+        if self.eta is not None:
+            etas = self.eta if isinstance(self.eta, (list, tuple)) else [self.eta]
+            try:
+                self.eta = tuple(float(e) for e in etas)
+            except (TypeError, ValueError):
+                raise ConfigError(f"eta must be a number or list: {self.eta!r}") from None
+            if not self.eta or not all(0 < e < math.inf for e in self.eta):
+                raise ConfigError(f"eta values must be positive and finite: {self.eta}")
 
-        try:
-            ns = tuple(int(n) for n in self.N_list)
-        except (TypeError, ValueError):
-            raise ConfigError(f"N_list must be a list of integers: {self.N_list!r}") from None
-        if not ns:
-            raise ConfigError("N_list must be nonempty")
-        if any(n < 2 for n in ns):
-            raise ConfigError("N_list entries must be >= 2")
-        if list(ns) != sorted(ns):
-            raise ConfigError("N_list must be ascending")
-        self.N_list = ns
+        if self.N_list is not None:
+            try:
+                ns = tuple(int(n) for n in self.N_list)
+            except (TypeError, ValueError):
+                raise ConfigError(f"N_list must be a list of integers: {self.N_list!r}") from None
+            if not ns:
+                raise ConfigError("N_list must be nonempty")
+            if any(n < 2 for n in ns):
+                raise ConfigError("N_list entries must be >= 2")
+            if list(ns) != sorted(ns):
+                raise ConfigError("N_list must be ascending")
+            self.N_list = ns
 
+        missing = [INPUT_FIELDS[name] for name in inputs(self.experiment)
+                   if getattr(self, INPUT_FIELDS[name]) is None]
+        if missing:
+            raise ConfigError(f"{self.experiment} needs {' and '.join(missing)}")
         self.output_dir = str(self.output_dir)
 
     @classmethod

@@ -260,8 +260,9 @@ def inputs(experiment: str) -> tuple:
 def _grid(config: ExperimentConfig) -> list[dict]:
     """Sweep points, each the params of one body call: the product over the
     experiment's inputs in signature order, eta outermost."""
-    axes = {"eta": config.eta, "N": config.N_list, "boundary": (config.boundary.value,)}
     names = inputs(config.experiment)
+    boundary = None if config.boundary is None else (config.boundary.value,)
+    axes = {"eta": config.eta, "N": config.N_list, "boundary": boundary}
     return [dict(zip(names, values)) for values in itertools.product(*map(axes.get, names))]
 
 

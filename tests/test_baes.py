@@ -63,6 +63,15 @@ def test_theta_monotone():
         assert np.all(np.diff(theta_m(m, xs, ETA)) > 0)
 
 
+@pytest.mark.parametrize("fn", [kernel_a, theta_m])
+@pytest.mark.parametrize("eta", [math.inf, math.nan, 0.0, -1.0])
+def test_kernel_and_phase_refuse_eta_outside_the_massive_regime(fn, eta):
+    # refused before any arithmetic, as ModelParams refuses it: an infinite
+    # eta used to return nan with a RuntimeWarning
+    with pytest.raises(ValueError, match="positive and finite"):
+        fn(1, 0.5, eta)
+
+
 def _literal_ground_twice_I(N, boundary):
     # the four cases written out: the hole-carrying ones (twisted even,
     # periodic odd) leave the -M edge slot empty

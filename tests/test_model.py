@@ -7,6 +7,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse
 import scipy.sparse.linalg as spla
 
 import kron_oracle
@@ -145,9 +146,46 @@ def test_operators_are_int32_csr():
         assert len(op._op.blocks) == 2
         matrices += op._op.blocks
     for m in matrices:
-        assert m.format == "csr"
+        assert isinstance(m, model._Csr)
         assert m.indices.dtype == np.int32 and m.indptr.dtype == np.int32
     assert build_hamiltonian(params).dtype == np.float64
+
+
+def _solved_blocks(N):
+    # every block ED may solve at N: the parity blocks of H on both
+    # boundaries and of the twisted H2, and H's ground sector where declared
+    params = [ModelParams(N, ETA, "anti"), ModelParams(N, ETA, "per")]
+    ops = [build_hamiltonian(p) for p in params]
+    if N >= 3:
+        ops.append(build_h2_charge(params[0]))
+    for op in ops:
+        yield from op._op.blocks
+        if op._op.ground_sector is not None:
+            yield op._op.ground_sector()[0]
+
+
+@pytest.mark.parametrize("N", range(2, 17))
+def test_iterative_solvers_apply_scipys_canonical_form(N):
+    # A block is built with its entries in fill order, a sector block's
+    # repeated.  The iterative solvers apply it through matvec, and the
+    # first product puts it in the canonical form of
+    # csr_matrix(entries).sum_duplicates(), byte for byte, scipy being the
+    # oracle; the levels pinned below depend on that form.  The dense
+    # route reads the same operator before and after.
+    rng = np.random.default_rng(N)
+    for block in _solved_blocks(N):
+        raw = tuple(a.copy() for a in (block.data, block.indices, block.indptr))
+        want = scipy.sparse.csr_matrix(raw, shape=block.shape)
+        want.sum_duplicates()
+        dense = block.toarray() if block.shape[0] <= DENSE_SECTOR_MAX else None
+        v = rng.standard_normal(block.shape[0])
+        product = ChainOperator(N, block).matvec(v)
+        for name in ("data", "indices", "indptr"):
+            got, expected = getattr(block, name), getattr(want, name)
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes()
+        assert product.tobytes() == (want @ v).tobytes()
+        if dense is not None:
+            assert np.max(np.abs(block.toarray() - dense), initial=0.0) <= 1e-14
 
 
 def test_ed_spectrum_rejects_non_hermitian():
@@ -198,13 +236,19 @@ def test_sector_ed_matches_kron_oracle(N, boundary, count, method):
         assert spec.method == ("dense" if spec.block_dim <= DENSE_SECTOR_MAX else "iterative")
 
 
-def _mirrored_even_block(blocks):
-    # the even block carried onto the odd states by the mirror's bit map:
-    # the even state of rank e goes to the odd state mirror(states[0][e]),
-    # whose rank is its index >> 1, so row and column e move to that rank
+def _mirrored_even_minus_odd(blocks):
+    # the even block carried onto the odd states by the mirror's bit map,
+    # minus the odd block, entry by entry: the even state of rank e goes to
+    # the odd state mirror(states[0][e]), whose rank is its index >> 1, so
+    # row and column e move to that rank
     rank = blocks.mirror(blocks.states[0]) >> 1
-    order = np.argsort(rank)   # the even rank that lands on each odd rank
-    return blocks.block(0)[order][:, order]
+    even, odd = blocks.blocks
+    rows = np.concatenate([rank[even.rows()], odd.rows()]).astype(np.int64)
+    cols = np.concatenate([rank[even.indices], odd.indices])
+    keys, at = np.unique(rows * odd.shape[0] + cols, return_inverse=True)
+    diff = np.zeros(len(keys), dtype=odd.dtype)
+    np.add.at(diff, at, np.concatenate([even.data, -odd.data]))
+    return diff
 
 
 @pytest.mark.parametrize("N", range(2, DENSE_MAX + 1))
@@ -221,8 +265,7 @@ def test_parity_mirror_maps_even_block_onto_odd(N):
         assert periodic._op.mirror is None
     for op in ops:
         blocks = op._op
-        diff = blocks.block(1) - _mirrored_even_block(blocks)
-        assert abs(diff).max() <= 1e-14
+        assert np.abs(_mirrored_even_minus_odd(blocks)).max() <= 1e-14
 
 
 @pytest.mark.parametrize("N", range(2, 15))
@@ -554,7 +597,7 @@ def test_ground_sector_spectrum_matches_projection(N, boundary):
         H = kron_oracle.hamiltonian(N, eta, twisted)
         blocks = build_hamiltonian(ModelParams(N, eta, boundary))._op
         sector, spread = blocks.ground_sector()
-        assert sector.format == "csr" and sector.indices.dtype == np.int32
+        assert isinstance(sector, model._Csr) and sector.indices.dtype == np.int32
         got, vecs = np.linalg.eigh(sector.toarray())
         want = np.linalg.eigvalsh(basis.T @ H @ basis)
         assert np.max(np.abs(got - want)) < 1e-12

@@ -1,6 +1,6 @@
-"""Start-up cost: the large-N path (reduced log-BAEs, hole term, fits)
-loads no scipy at all, and ED or transfer-matrix runs load scipy.linalg
-and scipy.sparse on first use only."""
+"""Start-up cost: the large-N path (reduced log-BAEs, hole term, fits), ED
+below the dense cap and the inhomogeneous T-Q solve load no scipy at all;
+only the iterative ED solvers load it, on first use."""
 
 import os
 import subprocess
@@ -33,20 +33,41 @@ _LARGE_N = textwrap.dedent("""
     assert not loaded, loaded
 """)
 
-# An ED sweep and an inhomogeneous T-Q solve load scipy.linalg and
-# scipy.sparse when they first need them, and never scipy.optimize.
-_ED = textwrap.dedent("""
+# ED whose solved blocks have at most DENSE_SECTOR_MAX states runs on
+# numpy alone: the twisted and periodic ground levels to N = 12 (the
+# periodic chain at odd N solves a parity block, 256 states at N = 9), the
+# inhomogeneous T-Q solve, ground_space and a dense H.  It must load no
+# scipy module.
+_DENSE_ED = textwrap.dedent("""
     import sys
     import twistbethe.workbench.cli
     from twistbethe import baes, model
     from twistbethe.workbench.config import ExperimentConfig
     from twistbethe.workbench.runner import run
 
-    assert "scipy" not in sys.modules
-    [record] = run(ExperimentConfig("EinhScan", N_list=(4,), output_dir=sys.argv[1]))
-    assert record.status == "ok", record
-    baes.solve_inhom_baes(model.ModelParams(4, 2.0, "anti"))
-    assert {"scipy.linalg", "scipy.sparse"} <= set(sys.modules)
+    for experiment, ns in (("EinhScan", (4, 5, 8, 11, 12)),
+                           ("BoundaryEnergyScan", (4, 9, 10, 12))):
+        config = ExperimentConfig(experiment, eta=2.0, N_list=ns, output_dir=sys.argv[1])
+        for record in run(config):
+            assert record.status == "ok", record
+    baes.solve_inhom_baes(model.ModelParams(8, 2.0, "anti"))
+    assert model.ground_space(model.ModelParams(12, 2.0, "anti")).vectors.shape == (4096, 2)
+    assert model.build_hamiltonian(model.ModelParams(10, 2.0, "anti")).dense.shape == (1024, 1024)
+    loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+    assert not loaded, loaded
+""")
+
+# The first iterative ground sector (N = 13, 316 states) runs Lanczos on
+# scipy's BLAS and CSR kernel, and loads scipy.sparse for it, never
+# scipy.optimize.
+_ITERATIVE_ED = textwrap.dedent("""
+    import sys
+    from twistbethe import model
+
+    H = model.build_hamiltonian(model.ModelParams(13, 2.0, "anti"))
+    spec = model.ed_spectrum(H, 2)
+    assert (spec.method, spec.block_dim) == ("iterative", 316), spec
+    assert "scipy.sparse" in sys.modules
     assert "scipy.optimize" not in sys.modules
 """)
 
@@ -63,8 +84,12 @@ def test_large_n_path_loads_no_scipy(tmp_path):
     _run_fresh(_LARGE_N, tmp_path)
 
 
-def test_ed_and_tq_runs_leave_scipy_optimize_unloaded(tmp_path):
-    _run_fresh(_ED, tmp_path)
+def test_ed_below_the_dense_cap_loads_no_scipy(tmp_path):
+    _run_fresh(_DENSE_ED, tmp_path)
+
+
+def test_first_iterative_sector_loads_scipy_sparse_not_optimize(tmp_path):
+    _run_fresh(_ITERATIVE_ED, tmp_path)
 
 
 def test_patched_least_squares_sees_every_lm_call(monkeypatch):

@@ -29,7 +29,7 @@ from twistbethe.workbench.verify import (
 
 
 def _cfg(tmp_path, **kw):
-    base = dict(experiment="EdSpectrum", eta=2.0, N_list=[4, 5],
+    base = dict(experiment="EdSpectrum", eta=2.0, N_list=[4, 5], boundary="anti",
                 output_dir=str(tmp_path))
     base.update(kw)
     return ExperimentConfig(**base)
@@ -37,16 +37,17 @@ def _cfg(tmp_path, **kw):
 
 def test_experiment_names_canonical():
     assert "EdSpectrum" in EXPERIMENTS
-    cfg = ExperimentConfig(experiment="edspectrum")   # the CLI's lowercase name
+    grid = dict(eta=2.0, N_list=[4], boundary="anti")
+    cfg = ExperimentConfig(experiment="edspectrum", **grid)   # the CLI's lowercase name
     assert cfg.experiment == "EdSpectrum"
     for alias in ("ed-spectrum", "ed_spectrum", "gap-scan"):   # one spelling per name
         with pytest.raises(ConfigError):
-            ExperimentConfig(experiment=alias)
+            ExperimentConfig(experiment=alias, **grid)
 
 
 def test_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="nonsense")
+        ExperimentConfig(experiment="nonsense", eta=2.0, N_list=[4])
     for eta in (-1.0, math.inf, math.nan, [2.0, math.inf]):
         with pytest.raises(ConfigError):
             _cfg(tmp_path, eta=eta)
@@ -59,7 +60,7 @@ def test_config_rejects_bad_input(tmp_path):
     with pytest.raises(ConfigError):
         _cfg(tmp_path, boundary="moebius")
     with pytest.raises(ConfigError):
-        ExperimentConfig(experiment="Fit")  # unknown: fits run via `twistbethe fit`
+        ExperimentConfig(experiment="Fit", eta=2.0, N_list=[4])  # fits run via `twistbethe fit`
     # the solver and series numerics are fixed; a config cannot set them
     for key in ("solver", "series"):
         with pytest.raises(ConfigError):
@@ -68,7 +69,7 @@ def test_config_rejects_bad_input(tmp_path):
 
 def test_from_dict_overrides(tmp_path):
     cfg = ExperimentConfig.from_dict(
-        {"experiment": "GapScan", "eta": 1.0, "N_list": [4]},
+        {"experiment": "GapScan", "eta": 1.0, "N_list": [4], "boundary": "anti"},
         {"eta": [2.0, 3.0], "output_dir": str(tmp_path), "N_list": None})
     assert cfg.eta == (2.0, 3.0)
     assert cfg.N_list == (4,)
@@ -148,17 +149,39 @@ def test_unread_inputs_are_refused(tmp_path, capsys):
             main(argv + ["--out", out])
         assert exc.value.code == 2
     cfile = tmp_path / "cfg.json"
-    cfile.write_text(json.dumps({"experiment": "EinhScan", "N_list": [4],
+    cfile.write_text(json.dumps({"experiment": "EinhScan", "eta": 2.0, "N_list": [4],
                                  "boundary": "periodic"}))
     assert main(["EinhScan", "--config", str(cfile), "--out", out]) == 2
     assert "EinhScan reads no config keys ['boundary']" in capsys.readouterr().err
     # iterative ED starts from a fixed vector: no experiment reads a seed
-    cfile.write_text(json.dumps({"experiment": "EinhScan", "N_list": [4], "seed": 1}))
+    cfile.write_text(json.dumps({"experiment": "EinhScan", "eta": 2.0, "N_list": [4],
+                                 "seed": 1}))
     assert main(["EinhScan", "--config", str(cfile), "--out", out]) == 2
     assert "EinhScan reads no config keys ['seed']" in capsys.readouterr().err
     with pytest.raises(ConfigError):
         ExperimentConfig.from_dict({"experiment": "Thermo", "N_list": [4]})
     assert not (tmp_path / "cache").exists()   # nothing ran
+
+
+def test_read_inputs_have_no_defaults(tmp_path, capsys):
+    # every input an experiment reads must be given, on the command line or
+    # in a config file: no sweep runs on a default grid
+    out = tmp_path / "out"
+    for argv, missing in ((["EinhScan"], "eta and N_list"),
+                          (["EinhScan", "--eta", "2"], "N_list"),
+                          (["GapScan", "--eta", "2", "--n", "4"], "boundary"),
+                          (["Thermo"], "eta")):
+        assert main(argv + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"bad config: {argv[0]} needs {missing}\n"
+    assert not out.exists()
+    with pytest.raises(ConfigError, match="SolveHom needs boundary"):
+        ExperimentConfig.from_dict({"experiment": "SolveHom", "eta": 2.0, "N_list": [4]})
+    # a field the experiment does not read may be left out, or given and checked
+    assert ExperimentConfig("Thermo", eta=2.0).N_list is None
+    assert ExperimentConfig("EinhScan", eta=2.0, N_list=[4], boundary="per").boundary.value \
+        == "periodic"
+    with pytest.raises(ConfigError):
+        ExperimentConfig("EinhScan", eta=2.0, N_list=[4], boundary="moebius")
 
 
 def test_corrupt_cache_recomputed(tmp_path):
@@ -273,7 +296,7 @@ def test_emit_svg_structure(tmp_path):
 
 def test_cli_experiment_exit_codes(tmp_path, capsys):
     out = str(tmp_path / "run1")
-    code = main(["EdSpectrum", "--eta", "2", "--n", "4,5",
+    code = main(["EdSpectrum", "--eta", "2", "--n", "4,5", "--boundary", "anti",
                  "--out", out, "--formats", "csv,json"])
     assert code == 0
     text = capsys.readouterr().out
@@ -287,13 +310,14 @@ def test_cli_experiment_exit_codes(tmp_path, capsys):
     assert "error" in capsys.readouterr().out
 
     # malformed N list -> config error
-    assert main(["EdSpectrum", "--n", "4,x", "--out", out]) == 2
+    assert main(["EdSpectrum", "--eta", "2", "--n", "4,x", "--boundary", "anti",
+                 "--out", out]) == 2
     capsys.readouterr()
 
 
 def test_cli_range_syntax(tmp_path, capsys):
     out = str(tmp_path)
-    code = main(["EdSpectrum", "--eta", "2", "--n", "4..8:2",
+    code = main(["EdSpectrum", "--eta", "2", "--n", "4..8:2", "--boundary", "anti",
                  "--out", out, "--formats", "json"])
     assert code == 0
     rows = json.loads(next((tmp_path).glob("*.json")).read_text())
@@ -304,7 +328,7 @@ def test_cli_range_syntax(tmp_path, capsys):
 def test_cli_config_file_with_flag_overrides(tmp_path, capsys):
     cfile = tmp_path / "cfg.json"
     cfile.write_text(json.dumps({
-        "experiment": "EdSpectrum", "eta": 1.0, "N_list": [4],
+        "experiment": "EdSpectrum", "eta": 1.0, "N_list": [4], "boundary": "anti",
         "output_dir": str(tmp_path / "a")}))
     code = main(["EdSpectrum", "--config", str(cfile), "--eta", "2",
                  "--out", str(tmp_path / "b"), "--formats", "csv"])
@@ -353,8 +377,8 @@ def test_cli_fit_subcommand(tmp_path, capsys):
     assert main(["fit", "--kind", "power", "--input", str(tmp_path), "--y", "value"]) == 2
     assert capsys.readouterr().err.startswith("cannot read input")
     out = str(tmp_path / "out")
-    assert main(["EdSpectrum", "--eta", "2", "--n", "4,5", "--out", out,
-                 "--formats", "csv"]) == 0
+    assert main(["EdSpectrum", "--eta", "2", "--n", "4,5", "--boundary", "anti",
+                 "--out", out, "--formats", "csv"]) == 0
     capsys.readouterr()
     assert main(["fit", "--kind", "power", "--input", f"{out}/edspectrum.csv",
                  "--y", "method"]) == 2
@@ -383,7 +407,7 @@ def test_cli_spellings_parse_through_the_library(tmp_path, capsys):
     # --boundary and fit --kind accept what Boundary.coerce and the fit
     # kinds accept, in any letter case; anything else is a usage error
     out = str(tmp_path / "gap")
-    assert main(["GapScan", "--boundary", "Anti", "--n", "4", "--out", out,
+    assert main(["GapScan", "--eta", "2", "--boundary", "Anti", "--n", "4", "--out", out,
                  "--formats", "csv"]) == 0
     assert parse_csv(next((tmp_path / "gap").glob("*.csv")))[0]["boundary"] == "antiperiodic"
     for argv in (["GapScan", "--boundary", "twisted", "--n", "4", "--out", out],
@@ -401,7 +425,8 @@ def test_cli_spellings_parse_through_the_library(tmp_path, capsys):
 def test_cli_experiment_names_in_any_letter_case(tmp_path, capsys):
     for i, name in enumerate(("EDSPECTRUM", "edSpectrum", "edspectrum")):
         out = tmp_path / str(i)
-        assert main([name, "--n", "4", "--out", str(out), "--formats", "csv"]) == 0
+        assert main([name, "--eta", "2", "--n", "4", "--boundary", "anti",
+                     "--out", str(out), "--formats", "csv"]) == 0
         assert parse_csv(out / "edspectrum.csv")[0]["experiment"] == "EdSpectrum"
     capsys.readouterr()
 
@@ -417,7 +442,8 @@ def test_cli_verify_level_in_any_letter_case(capsys):
 def test_cli_config_file_names_the_subcommand(tmp_path, capsys):
     cfile = tmp_path / "cfg.json"
     out = str(tmp_path / "out")
-    cfile.write_text(json.dumps({"experiment": "EDSPECTRUM", "N_list": [4]}))
+    cfile.write_text(json.dumps({"experiment": "EDSPECTRUM", "eta": 2.0, "N_list": [4],
+                                 "boundary": "anti"}))
     assert main(["gapscan", "--config", str(cfile), "--out", out]) == 2
     assert "EDSPECTRUM" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
